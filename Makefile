@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt generate check sweepd hpserve dist-smoke cache-smoke serve-smoke chaos-smoke sample-smoke bench bench-smoke
+.PHONY: build test race alloc-guard lint fmt generate check sweepd hpserve dist-smoke cache-smoke serve-smoke chaos-smoke sample-smoke bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-guard runs the simulator allocation guard outside -race, as CI
+# does: the race detector's instrumentation allocates, so `make race`
+# skips it. A 200k-instruction run may allocate only a few more objects
+# than a 20k one.
+alloc-guard:
+	$(GO) test -count=1 -run AllocsIndependentOfBudget ./internal/uarch
 
 # lint runs the repo's own static-analysis suite — all nine analyzers
 # (go run ./cmd/hpvet -list) plus stale //hp:nolint detection — and go
@@ -88,4 +95,4 @@ bench-smoke:
 	$(GO) run ./cmd/bench -check /tmp/bench-smoke.json
 	for f in BENCH_*.json; do $(GO) run ./cmd/bench -check $$f; done
 
-check: build lint race
+check: build lint race alloc-guard

@@ -78,9 +78,11 @@ func (s CacheStats) MissRate() float64 {
 // Cache is one set-associative, write-back, write-allocate cache level
 // with true-LRU replacement.
 type Cache struct {
-	cfg      CacheConfig
-	next     Level
-	sets     []([]line)
+	cfg  CacheConfig
+	next Level
+	// lines holds every set back to back: set i is
+	// lines[i*Ways : (i+1)*Ways].
+	lines    []line
 	setShift uint
 	setMask  uint64
 	tick     uint64
@@ -97,10 +99,7 @@ func NewCache(cfg CacheConfig, next Level) *Cache {
 	totalLines := cfg.SizeKB * 1024 / cfg.LineSize
 	numSets := totalLines / cfg.Ways
 	mustf(numSets > 0 && numSets&(numSets-1) == 0, "mem: %s set count %d not a power of two", cfg.Name, numSets)
-	c := &Cache{cfg: cfg, next: next, sets: make([][]line, numSets)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, next: next, lines: make([]line, numSets*cfg.Ways)}
 	shift := uint(0)
 	for 1<<shift != cfg.LineSize {
 		shift++
@@ -119,6 +118,12 @@ func (c *Cache) Latency() int { return c.cfg.Lat }
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
+// set returns the ways of the set addr maps to.
+func (c *Cache) set(addr uint64) []line {
+	i := int((addr>>c.setShift)&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways]
+}
+
 // Access looks up the line containing addr. On a miss the line is fetched
 // from below (charging the lower level's latency) and allocated here,
 // evicting the LRU way; dirty victims count as writebacks (charged no
@@ -126,9 +131,8 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 func (c *Cache) Access(addr uint64, write bool) (int, bool) {
 	c.tick++
 	c.Stats.Accesses++
-	setIdx := (addr >> c.setShift) & c.setMask
 	tag := addr >> c.setShift
-	set := c.sets[setIdx]
+	set := c.set(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.Stats.Hits++
@@ -159,9 +163,8 @@ func (c *Cache) Access(addr uint64, write bool) (int, bool) {
 // fill allocates the line containing addr, evicting LRU (dirty victims
 // write back, buffered).
 func (c *Cache) fill(addr uint64, dirty bool) {
-	setIdx := (addr >> c.setShift) & c.setMask
 	tag := addr >> c.setShift
-	set := c.sets[setIdx]
+	set := c.set(addr)
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -183,16 +186,12 @@ func (c *Cache) fill(addr uint64, dirty bool) {
 // Flush invalidates every line without writing anything back. Statistics
 // are preserved.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 }
 
 // Contains reports whether the line holding addr is resident (for tests).
 func (c *Cache) Contains(addr uint64) bool {
-	set := c.sets[(addr>>c.setShift)&c.setMask]
+	set := c.set(addr)
 	tag := addr >> c.setShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -203,4 +202,4 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // NumSets returns the number of sets (for tests).
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return len(c.lines) / c.cfg.Ways }

@@ -9,8 +9,8 @@ import (
 // Retirement waits until an instruction can no longer be replayed: every
 // load issued before it must have verified its hit/miss.
 func (s *Simulator) commit(c int64) {
-	for n := 0; n < s.cfg.Width && len(s.rob) > 0; n++ {
-		u := s.rob[0]
+	for n := 0; n < s.cfg.Width && s.sched.n > 0; n++ {
+		u := s.sched.at(0)
 		if u.state != stateDone {
 			return
 		}
@@ -27,8 +27,13 @@ func (s *Simulator) commit(c int64) {
 		}
 		u.state = stateCommitted
 		s.trace(c, EvCommit, u.seq, u.d.Inst)
-		s.rob = s.rob[1:]
 		s.sched.removeHead(u)
+		if dst, ok := u.d.Inst.Dest(); ok && s.regMap[dst] == u {
+			// The value is architectural now. Its resultCycle precedes
+			// any later dispatch, so every consumer check reads nil the
+			// same way, and the uops ring may reuse u (Simulator.uops).
+			s.regMap[dst] = nil
+		}
 		if u.isLoad() || u.isStore() {
 			s.unlinkLSQ(u)
 		}
@@ -46,9 +51,9 @@ func (s *Simulator) classifyCycle(committed uint64, c int64) CycleClass {
 		return CycleFullCommit
 	case committed > 0:
 		return CyclePartialCommit
-	case len(s.rob) == 0:
+	case s.sched.n == 0:
 		return CycleFrontEnd
-	case s.rob[0].state != stateDone:
+	case s.sched.at(0).state != stateDone:
 		return CycleExecution
 	default:
 		return CycleReplayWait

@@ -478,7 +478,7 @@ func (s *Simulator) squash(u *uop, tagElim bool) {
 // known at cycle c; misses trigger scheduling recovery.
 func (s *Simulator) verifyLoads(c int64) {
 	remaining := s.specLoads[:0]
-	var missed []*uop
+	missed := s.missedBuf[:0]
 	for _, u := range s.specLoads {
 		if u.verifyCycle > c {
 			remaining = append(remaining, u)
@@ -492,6 +492,7 @@ func (s *Simulator) verifyLoads(c int64) {
 		}
 	}
 	s.specLoads = remaining
+	s.missedBuf = missed
 	for _, u := range missed {
 		s.recoverFrom(u, c)
 	}
@@ -514,7 +515,8 @@ func (s *Simulator) recoverFrom(load *uop, c int64) {
 	}
 	w, m := bit(load.slot)
 	sc.squashW[w] |= m
-	for _, u := range s.rob {
+	for i := 0; i < sc.n; i++ {
+		u := sc.at(i)
 		if u == load || (u.state != stateIssued && u.state != stateDone) {
 			continue
 		}

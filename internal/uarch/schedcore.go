@@ -17,13 +17,14 @@ import "math/bits"
 // old algorithm from a test-only reference implementation.
 //
 // Slot discipline: slots are assigned round-robin at dispatch and the
-// window retires strictly in order (commit pops rob[0] only), so the
-// in-flight entries always occupy the contiguous ring segment
+// window retires strictly in order (commit removes only the head), so
+// the in-flight entries always occupy the contiguous ring segment
 // [head, head+n) mod cap and a slot is never reused while its occupant
 // is in flight. Age order is therefore ring order starting at head,
-// which is what appendAge scans. Squash does NOT free a slot — a
-// squashed entry stays at its slot and merely moves back to the waiting
-// set.
+// which is what appendAge scans, and the ring doubles as the reorder
+// buffer: commit, the CPI-stack classifier and replay recovery walk it
+// with at. Squash does NOT free a slot — a squashed entry stays at its
+// slot and merely moves back to the waiting set.
 type schedCore struct {
 	cap   int // window entries (Config.WindowSize)
 	words int // bitmap words: ceil(cap/64)
@@ -124,6 +125,14 @@ func (sc *schedCore) insert(u *uop) {
 func (sc *schedCore) listen(p, c int32) {
 	w, m := bit(c)
 	sc.srcMatch[int(p)*sc.words+w] |= m
+}
+
+// at returns the i-th oldest in-flight entry (0 is the head).
+func (sc *schedCore) at(i int) *uop {
+	if i += sc.head; i >= sc.cap {
+		i -= sc.cap
+	}
+	return sc.ent[i]
 }
 
 // removeHead retires the oldest entry (commit order), freeing its slot.
