@@ -223,9 +223,11 @@ func (s *Simulator) referenceIssue(c int64) {
 }
 
 // equivSchemes are the configurations the refactor was gated on: the
-// conventional baseline, the three half-price design points, and a
+// conventional baseline, the three half-price design points, a
 // feature-soup configuration exercising every select policy, recovery
-// scheme, and register-file variant the grant loop branches on.
+// scheme, and register-file variant the grant loop branches on, and the
+// half-price rename and bypass extensions, which read the source count
+// outside dispatch's uop build.
 var equivSchemes = []struct {
 	name   string
 	mutate func(*Config)
@@ -242,6 +244,10 @@ var equivSchemes = []struct {
 		c.Regfile = RFHalfCrossbar
 		c.Select = SelectPositional
 		c.Recovery = RecoverySelective
+	}},
+	{"half-rename-bypass", func(c *Config) {
+		c.Rename = RenameHalfPorts
+		c.Bypass = BypassHalf
 	}},
 }
 
