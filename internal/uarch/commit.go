@@ -23,16 +23,16 @@ func (s *Simulator) commit(c int64) {
 			if u.dataProducer != nil && u.dataProducer.state != stateDone && u.dataProducer.state != stateCommitted {
 				return
 			}
-			s.hier.StoreLatency(u.d.EffAddr)
+			s.hier.StoreLatency(u.effAddr)
 		}
 		u.state = stateCommitted
-		s.trace(c, EvCommit, u.seq, u.d.Inst)
+		s.trace(c, EvCommit, u.seq, u.inst)
 		s.sched.removeHead(u)
-		if dst, ok := u.d.Inst.Dest(); ok && s.regMap[dst] == u {
+		if u.dest != isa.RegNone && s.regMap[u.dest] == u {
 			// The value is architectural now. Its resultCycle precedes
 			// any later dispatch, so every consumer check reads nil the
 			// same way, and the uops ring may reuse u (Simulator.uops).
-			s.regMap[dst] = nil
+			s.regMap[u.dest] = nil
 		}
 		if u.isLoad() || u.isStore() {
 			s.unlinkLSQ(u)
@@ -85,14 +85,13 @@ func (s *Simulator) unlinkLSQ(u *uop) {
 func (s *Simulator) recordCommit(u *uop) {
 	s.st.Committed++
 	if s.hot != nil {
-		s.hot.note(u.d.PC, u.d.Inst, s.hot.commits)
+		s.hot.note(u.pc, u.inst, s.hot.commits)
 	}
 	if s.onCommit != nil {
 		s.onCommit(u)
 	}
-	class := isa.Classify(u.d.Inst)
-	s.st.ClassCounts[class]++
-	if !u.is2Source {
+	s.st.ClassCounts[u.opClass]++
+	if !u.is2Source() {
 		return
 	}
 	s.st.ReadyAtInsert[u.readyAtInsert]++
@@ -125,14 +124,14 @@ func (s *Simulator) recordCommit(u *uop) {
 			if w0 > w1 {
 				last = opred.Left
 			}
-			if prev, ok := s.lastSidePC[u.d.PC]; ok {
+			if prev, ok := s.lastSidePC[u.pc]; ok {
 				if prev == last {
 					s.st.OrderSame++
 				} else {
 					s.st.OrderDiff++
 				}
 			}
-			s.lastSidePC[u.d.PC] = last
+			s.lastSidePC[u.pc] = last
 			if last == opred.Left {
 				s.st.LastLeft++
 			} else {
@@ -166,7 +165,7 @@ func (s *Simulator) recordCommit(u *uop) {
 		train, last = true, opred.Right
 	}
 	if train && s.cfg.Wakeup != WakeupConventional {
-		s.op.Update(u.d.PC, last)
+		s.op.Update(u.pc, last)
 	}
 
 	// Figure 10: where did the source values come from?

@@ -307,7 +307,7 @@ func mustValidateWindowSplit(warmup, budget uint64) {
 }
 
 // slowBusDelay returns the slow-bus extra latency in cycles (default 1).
-func (c Config) slowBusDelay() int64 {
+func (c *Config) slowBusDelay() int64 {
 	if c.SlowBusDelay == 0 {
 		return 1
 	}
@@ -316,7 +316,7 @@ func (c Config) slowBusDelay() int64 {
 
 // latency returns the execution latency for a class (loads handled
 // separately by the memory system).
-func (c Config) latency(class isa.ExecClass) int {
+func (c *Config) latency(class isa.ExecClass) int {
 	switch class {
 	case isa.ClassIntALU, isa.ClassBranch, isa.ClassSys, isa.ClassStore:
 		return c.IntALULat

@@ -29,17 +29,17 @@ func TestDebugSimultaneous(t *testing.T) {
 	totCount := map[key]int{}
 	info := map[key]string{}
 	sim.onCommit = func(u *uop) {
-		if !u.is2Source || !u.pendingAtInsert[0] || !u.pendingAtInsert[1] {
+		if !u.is2Source() || !u.pendingAtInsert[0] || !u.pendingAtInsert[1] {
 			return
 		}
-		k := key{u.d.PC}
+		k := key{u.pc}
 		totCount[k]++
 		w0, w1 := u.src[0].resultCycle, u.src[1].resultCycle
 		if w0 == w1 {
 			simCount[k]++
 			info[k] = fmt.Sprintf("%v  p0=%v(d%d,iss%d) p1=%v(d%d,iss%d)",
-				u.d.Inst, u.src[0].d.Inst.Op, u.seq-u.src[0].seq, w0-u.src[0].issueCycle,
-				u.src[1].d.Inst.Op, u.seq-u.src[1].seq, w1-u.src[1].issueCycle)
+				u.inst, u.src[0].inst.Op, u.seq-u.src[0].seq, w0-u.src[0].issueCycle,
+				u.src[1].inst.Op, u.seq-u.src[1].seq, w1-u.src[1].issueCycle)
 		}
 	}
 	sim.Run()

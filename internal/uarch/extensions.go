@@ -1,7 +1,5 @@
 package uarch
 
-import "halfprice/internal/isa"
-
 // The paper's §6 sketches extending the half-price idea beyond the
 // scheduler and register file: "We are developing half-price techniques
 // for register renaming, ready information check and bypass logic." This
@@ -54,22 +52,6 @@ func (b BypassScheme) String() string {
 		return "half-bypass"
 	}
 	return "full-bypass"
-}
-
-// renamePortsNeeded counts source map-table lookups for an instruction:
-// unique non-zero register sources (stores count their base and data,
-// since both must be renamed even though only the base schedules).
-func renamePortsNeeded(in isa.Inst) int {
-	_, n := in.Srcs()
-	return n
-}
-
-// dispatchRenameBudget returns the per-cycle source-rename port budget.
-func (s *Simulator) dispatchRenameBudget() int {
-	if s.cfg.Rename == RenameHalfPorts {
-		return s.cfg.Width + 1 // one port per slot plus one shared spare
-	}
-	return 2 * s.cfg.Width
 }
 
 // bypassConflict reports whether issuing u at cycle c would require two

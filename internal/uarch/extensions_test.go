@@ -16,6 +16,9 @@ func TestExtensionSchemeStrings(t *testing.T) {
 	}
 }
 
+// TestRenamePortsNeeded checks the source map-table lookups fetch's
+// decode records for half-price rename: unique non-zero sources, with a
+// store counting its data and base registers.
 func TestRenamePortsNeeded(t *testing.T) {
 	cases := []struct {
 		in   isa.Inst
@@ -29,7 +32,9 @@ func TestRenamePortsNeeded(t *testing.T) {
 		{isa.Nop(), 0},
 	}
 	for _, c := range cases {
-		if got := renamePortsNeeded(isa.Canonicalize(c.in)); got != c.want {
+		var r decoded
+		r.decode(&trace.DynInst{Inst: isa.Canonicalize(c.in)})
+		if got := int(r.nuniq); got != c.want {
 			t.Errorf("%v: ports = %d, want %d", c.in, got, c.want)
 		}
 	}

@@ -134,12 +134,12 @@ func TestDepMatrixShiftConservation(t *testing.T) {
 func TestKillBusMatchesPointerChase(t *testing.T) {
 	k := newKillBusTracker(3, 4)
 	// Build: load L (slot 0) -> A (slot 1) -> B (slot 2); C independent.
-	L := &uop{seq: 0}
-	A := &uop{seq: 1, nsrc: 1}
+	L := &uop{decoded: decoded{seq: 0}}
+	A := &uop{decoded: decoded{seq: 1}, nsrc: 1}
 	A.src[0] = L
-	B := &uop{seq: 2, nsrc: 1}
+	B := &uop{decoded: decoded{seq: 2}, nsrc: 1}
 	B.src[0] = A
-	C := &uop{seq: 3}
+	C := &uop{decoded: decoded{seq: 3}}
 
 	k.onIssue(L, 0)
 	k.onCycle()

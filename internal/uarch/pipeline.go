@@ -13,7 +13,7 @@ import (
 
 // fqEntry is an instruction in flight between fetch and dispatch.
 type fqEntry struct {
-	d       trace.DynInst
+	decoded
 	arrive  int64 // cycle it reaches dispatch
 	mispred bool  // fetch mispredicted this branch; blocks fetch until resolve
 	hasPred bool
@@ -233,7 +233,7 @@ func (s *Simulator) describeHead() string {
 		return "empty window"
 	}
 	u := s.sched.at(0)
-	return fmt.Sprintf("head seq=%d %v state=%d issue=%d result=%d", u.seq, u.d.Inst, u.state, u.issueCycle, u.resultCycle)
+	return fmt.Sprintf("head seq=%d %v state=%d issue=%d result=%d", u.seq, u.inst, u.state, u.issueCycle, u.resultCycle)
 }
 
 // ---- fetch ----
@@ -289,27 +289,29 @@ func (s *Simulator) fetch(c int64) {
 		}
 		s.hasPending = false
 		s.st.Fetched++
-		e := fqEntry{d: *d, arrive: c + int64(s.cfg.FrontEndStages)}
 		s.trace(c, EvFetch, d.Seq, d.Inst)
-		s.predictOperands(&e)
-		stop := s.predictBranch(&e)
-		s.pushFront(e)
-		if stop {
+		e := s.pushFront()
+		*e = fqEntry{arrive: c + int64(s.cfg.FrontEndStages)}
+		e.decode(d)
+		s.predictOperands(e)
+		if s.predictBranch(e, d) {
 			return
 		}
 	}
 }
 
-// pushFront appends e to the front queue, doubling the ring when full.
-func (s *Simulator) pushFront(e fqEntry) {
+// pushFront appends an entry to the front queue, doubling the ring when
+// full, and returns it for fetch to fill in place.
+func (s *Simulator) pushFront() *fqEntry {
 	if s.fqLen == len(s.frontQ) {
 		grown := make([]fqEntry, 2*len(s.frontQ))
 		n := copy(grown, s.frontQ[s.fqHead:])
 		copy(grown[n:], s.frontQ[:s.fqHead])
 		s.frontQ, s.fqHead = grown, 0
 	}
-	s.frontQ[(s.fqHead+s.fqLen)&(len(s.frontQ)-1)] = e
+	e := &s.frontQ[(s.fqHead+s.fqLen)&(len(s.frontQ)-1)]
 	s.fqLen++
+	return e
 }
 
 // predictOperands consults the last-arriving operand predictor in the
@@ -318,36 +320,51 @@ func (s *Simulator) predictOperands(e *fqEntry) {
 	if s.cfg.Wakeup != WakeupSequential && s.cfg.Wakeup != WakeupTagElim {
 		return // only the predictor-steered schemes place operands
 	}
-	if isa.Is2Source(e.d.Inst) {
+	if e.is2Source() {
 		e.hasPred = true
-		e.pred = s.op.Predict(e.d.PC)
+		e.pred = s.op.Predict(e.pc)
 	}
 }
 
-// predictBranch runs the front-end branch predictors against the oracle
+// predictBranch runs the front-end branch predictors against d's oracle
 // outcome, marks mispredictions (which stall fetch until resolution), and
 // reports whether the fetch bundle ends at this instruction.
-func (s *Simulator) predictBranch(e *fqEntry) bool {
-	in := e.d.Inst
-	pc := e.d.PC
+func (s *Simulator) predictBranch(e *fqEntry, d *trace.DynInst) bool {
+	cond, mispred, taken := accessBranchPredictors(s.bp, d)
+	if cond {
+		s.st.CondBranches++
+	}
+	if mispred && !s.cfg.PerfectBranchPred {
+		s.st.BranchMispredicts++
+		e.mispred = true
+		s.redirectInFQ = true
+		return true
+	}
+	return taken // fetch stops at the first taken branch
+}
+
+// accessBranchPredictors runs one instruction through the branch
+// predictors against its oracle outcome, in the order fetch consults
+// them: the direction predictor for a conditional branch; the
+// return-address stack for a BR call; for a JMP, the RAS on a return or
+// the indirect predictor otherwise, then a push on a call. Fetch
+// (predictBranch) and functional warming (funcWarmer) share it, so both
+// leave the predictors in the same state. It reports whether d is a
+// conditional branch, whether its target or direction was mispredicted,
+// and whether it is a taken control transfer.
+func accessBranchPredictors(bp *bpred.Predictor, d *trace.DynInst) (cond, mispred, taken bool) {
+	in := d.Inst
 	switch {
 	case in.Op.IsCondBranch():
-		pred := s.bp.PredictCond(pc)
-		s.bp.UpdateCond(pc, e.d.Taken)
-		s.st.CondBranches++
-		if pred != e.d.Taken && !s.cfg.PerfectBranchPred {
-			s.st.BranchMispredicts++
-			e.mispred = true
-			s.redirectInFQ = true
-			return true
-		}
-		return e.d.Taken // fetch stops at the first taken branch
+		pred := bp.PredictCond(d.PC)
+		bp.UpdateCond(d.PC, d.Taken)
+		return true, pred != d.Taken, d.Taken
 	case in.Op == isa.OpBR:
 		// Direct target, computed in decode: never mispredicted.
 		if dst, ok := in.Dest(); ok && dst == isa.RegRA {
-			s.bp.PushRAS(pc + isa.InstBytes)
+			bp.PushRAS(d.PC + isa.InstBytes)
 		}
-		return true
+		return false, false, true
 	case in.Op == isa.OpJMP:
 		isCall := false
 		if dst, ok := in.Dest(); ok && dst == isa.RegRA {
@@ -357,31 +374,30 @@ func (s *Simulator) predictBranch(e *fqEntry) bool {
 		var predicted uint64
 		var havePred bool
 		if isRet {
-			predicted, havePred = s.bp.PopRAS()
+			predicted, havePred = bp.PopRAS()
 		} else {
-			predicted, havePred = s.bp.PredictIndirect(pc)
+			predicted, havePred = bp.PredictIndirect(d.PC)
 		}
-		correct := havePred && predicted == e.d.NextPC
+		correct := havePred && predicted == d.NextPC
 		if !isRet {
-			s.bp.UpdateIndirect(pc, e.d.NextPC, correct)
+			bp.UpdateIndirect(d.PC, d.NextPC, correct)
 		}
 		if isCall {
-			s.bp.PushRAS(pc + isa.InstBytes)
+			bp.PushRAS(d.PC + isa.InstBytes)
 		}
-		if !correct && !s.cfg.PerfectBranchPred {
-			s.st.BranchMispredicts++
-			e.mispred = true
-			s.redirectInFQ = true
-		}
-		return true
+		return false, !correct, true
 	}
-	return false
+	return false, false, false
 }
 
 // ---- dispatch ----
 
 func (s *Simulator) dispatch(c int64) {
-	renamePorts := s.dispatchRenameBudget()
+	// Half-price rename has one source map-table port per slot plus one
+	// shared spare. Full-price rename's two per slot cannot run out, so
+	// ports are counted only under RenameHalfPorts.
+	halfRename := s.cfg.Rename == RenameHalfPorts
+	renamePorts := s.cfg.Width + 1
 	for n := 0; n < s.cfg.Width && s.fqLen > 0; n++ {
 		e := &s.frontQ[s.fqHead]
 		if e.arrive > c {
@@ -390,23 +406,24 @@ func (s *Simulator) dispatch(c int64) {
 		if s.sched.n >= s.cfg.WindowSize {
 			return
 		}
-		isMem := e.d.Inst.Op.IsLoad() || e.d.Inst.Op.IsStore()
+		isMem := e.isLoad() || e.isStore()
 		if isMem && len(s.lsq) >= s.cfg.LSQSize {
 			return
 		}
-		if need := renamePortsNeeded(e.d.Inst); need > renamePorts {
-			// Half-price rename: out of source map-table ports this
-			// cycle; the rest of the group dispatches next cycle.
-			s.st.RenameStalls++
-			return
-		} else {
-			renamePorts -= need
+		if halfRename {
+			if int(e.nuniq) > renamePorts {
+				// Out of source map-table ports this cycle; the rest of
+				// the group dispatches next cycle.
+				s.st.RenameStalls++
+				return
+			}
+			renamePorts -= int(e.nuniq)
 		}
 		u := s.buildUop(e, c)
 		s.fqHead = (s.fqHead + 1) & (len(s.frontQ) - 1)
 		s.fqLen--
 		s.schedInsert(u)
-		s.trace(c, EvDispatch, u.seq, u.d.Inst)
+		s.trace(c, EvDispatch, u.seq, u.inst)
 		if isMem {
 			s.lsq = append(s.lsq, u)
 		}
@@ -418,43 +435,37 @@ func (s *Simulator) dispatch(c int64) {
 }
 
 func (s *Simulator) buildUop(e *fqEntry, c int64) *uop {
-	in := e.d.Inst
 	u := &s.uops[s.uopNext]
 	if s.uopNext++; s.uopNext == len(s.uops) {
 		s.uopNext = 0
 	}
-	*u = uop{
-		seq:            e.d.Seq,
-		d:              e.d,
-		class:          in.Op.Class(),
-		dispatchCycle:  c,
-		addrKnownCycle: notReady,
-		hasPred:        e.hasPred,
-		predicted:      e.pred,
-		fastSide:       e.pred,
-	}
+	// Reset the reused entry, then fill it in place: assigning a composite
+	// literal through a pointer builds it in a temporary and copies the
+	// whole uop.
+	*u = uop{}
+	u.decoded = e.decoded
+	u.dispatchCycle = c
+	u.addrKnownCycle = notReady
+	u.hasPred = e.hasPred
+	u.predicted = e.pred
+	u.fastSide = e.pred
 	if u.isStore() {
 		// Split store: schedule the address generation on the base
 		// register; the data move gates commit only.
-		u.nsrc = 0
-		if in.Ra.Valid() && !in.Ra.IsZero() {
-			u.srcReg[0] = in.Ra
-			u.src[0] = s.regMap[in.Ra]
+		if base := u.inst.Ra; base.Valid() && !base.IsZero() {
+			u.src[0] = s.regMap[base]
 			u.nsrc = 1
 		}
-		if in.Rd.Valid() && !in.Rd.IsZero() {
-			u.dataProducer = s.regMap[in.Rd]
+		if data := u.inst.Rd; data.Valid() && !data.IsZero() {
+			u.dataProducer = s.regMap[data]
 		}
 	} else {
-		srcs, n := in.Srcs()
-		u.nsrc = n
-		for i := 0; i < n; i++ {
-			u.srcReg[i] = srcs[i]
-			u.src[i] = s.regMap[srcs[i]]
+		u.nsrc = int(u.nuniq)
+		for i := 0; i < u.nsrc; i++ {
+			u.src[i] = s.regMap[u.uniq[i]]
 		}
 	}
-	u.is2Source = isa.Is2Source(in)
-	if u.is2Source {
+	if u.is2Source() {
 		ready := 0
 		for i := 0; i < 2; i++ {
 			if u.wokenAfterInsert(i) {
@@ -465,8 +476,8 @@ func (s *Simulator) buildUop(e *fqEntry, c int64) *uop {
 		}
 		u.readyAtInsert = ready
 	}
-	if dst, ok := in.Dest(); ok {
-		s.regMap[dst] = u
+	if u.dest != isa.RegNone {
+		s.regMap[u.dest] = u
 	}
 	return u
 }
@@ -489,7 +500,7 @@ func (s *Simulator) complete(c int64) {
 		if done <= c {
 			u.state = stateDone
 			sc.markDone(u.slot)
-			s.trace(c, EvComplete, u.seq, u.d.Inst)
+			s.trace(c, EvComplete, u.seq, u.inst)
 			if u == s.redirect {
 				extra := int64(s.cfg.ExtraMispredictPenalty)
 				if s.cfg.Regfile == RFExtraStage {

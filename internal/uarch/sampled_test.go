@@ -4,8 +4,37 @@ import (
 	"reflect"
 	"testing"
 
+	"halfprice/internal/bpred"
+	"halfprice/internal/isa"
+	"halfprice/internal/mem"
 	"halfprice/internal/trace"
 )
+
+// TestWarmerCountsConditionalMispredictsOnly pins the warmer's mispredict
+// feature: the warmer runs fetch's branch-predictor sequence, but only a
+// mispredicted conditional branch counts, not a mispredicted jump.
+func TestWarmerCountsConditionalMispredictsOnly(t *testing.T) {
+	cfg := Config4Wide()
+	w := &funcWarmer{hier: mem.NewHierarchy(cfg.Mem), bp: bpred.New(cfg.Bpred),
+		lineMask: ^uint64(cfg.Mem.IL1.LineSize - 1)}
+	// A cold indirect jump has no target prediction, so fetch would
+	// mispredict it.
+	jmp := trace.DynInst{PC: 0x1000, NextPC: 0x8000, Taken: true,
+		Inst: isa.Inst{Op: isa.OpJMP, Rd: isa.ZeroInt, Ra: isa.IntReg(5)}}
+	if _, mispred, _ := accessBranchPredictors(bpred.New(cfg.Bpred), &jmp); !mispred {
+		t.Fatal("a cold indirect jump should mispredict")
+	}
+	if _, misp := w.observe(jmp); misp {
+		t.Fatal("warmer counted a jump mispredict")
+	}
+	// Direction counters reset to weakly taken: a cold not-taken
+	// conditional branch mispredicts.
+	beqz := trace.DynInst{PC: 0x2000, NextPC: 0x2008,
+		Inst: isa.Inst{Op: isa.OpBEQZ, Ra: isa.IntReg(1), Imm: 4}}
+	if _, misp := w.observe(beqz); !misp {
+		t.Fatal("warmer missed a conditional-branch mispredict")
+	}
+}
 
 func TestMustValidateWindowSplit(t *testing.T) {
 	cases := []struct {

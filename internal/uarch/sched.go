@@ -173,7 +173,7 @@ func (s *Simulator) occupyDiv(busy []int64, c int64, lat int) {
 // older store's address is known; it returns whether a matching older
 // store forwards its data.
 func (s *Simulator) lsqReadyForLoad(u *uop, c int64) (forward, ok bool) {
-	blk := u.d.EffAddr &^ 7
+	blk := u.effAddr &^ 7
 	for i := len(s.lsq) - 1; i >= 0; i-- {
 		v := s.lsq[i]
 		if v.seq >= u.seq {
@@ -185,7 +185,7 @@ func (s *Simulator) lsqReadyForLoad(u *uop, c int64) (forward, ok bool) {
 		if v.addrKnownCycle > c {
 			return false, false // conservative: wait for older addresses
 		}
-		if !forward && v.d.EffAddr&^7 == blk {
+		if !forward && v.effAddr&^7 == blk {
 			forward = true // youngest matching older store wins
 		}
 	}
@@ -336,7 +336,7 @@ func (s *Simulator) issueOne(u *uop, c int64, lat int, forward bool) {
 		if eff > base && c == eff {
 			s.st.SeqWakeupDelays++
 			if s.hot != nil {
-				s.hot.note(u.d.PC, u.d.Inst, s.hot.slowBus)
+				s.hot.note(u.pc, u.inst, s.hot.slowBus)
 			}
 		}
 	}
@@ -364,7 +364,7 @@ func (s *Simulator) issueOne(u *uop, c int64, lat int, forward bool) {
 			u.seqRegAccess = true
 			s.st.SeqRegAccesses++
 			if s.hot != nil {
-				s.hot.note(u.d.PC, u.d.Inst, s.hot.seqRF)
+				s.hot.note(u.pc, u.inst, s.hot.seqRF)
 			}
 			s.disabledSlotsNext++ // the slot's select logic idles a cycle
 			extra = 1
@@ -377,7 +377,7 @@ func (s *Simulator) issueOne(u *uop, c int64, lat int, forward bool) {
 	u.issueCycle = c
 	s.sched.markIssued(u.slot)
 	s.st.Issued++
-	s.trace(c, EvIssue, u.seq, u.d.Inst)
+	s.trace(c, EvIssue, u.seq, u.inst)
 
 	switch {
 	case u.isLoad():
@@ -389,7 +389,7 @@ func (s *Simulator) issueOne(u *uop, c int64, lat int, forward bool) {
 			actual = assumed
 			u.missed = false
 		case !u.memAccessDone:
-			latency, hit := s.hier.LoadLatency(u.d.EffAddr)
+			latency, hit := s.hier.LoadLatency(u.effAddr)
 			u.memAccessDone = true
 			u.memDataAt = c + int64(1+latency)
 			actual = int64(1+latency) + int64(extra)
@@ -425,7 +425,7 @@ func (s *Simulator) issueOne(u *uop, c int64, lat int, forward bool) {
 // flushed (non-selective recovery with a one-cycle detection delay).
 func (s *Simulator) tagElimFault(u *uop, c int64, issuedThisCycle []*uop) {
 	s.st.TagElimMispreds++
-	s.trace(c, EvTEFault, u.seq, u.d.Inst)
+	s.trace(c, EvTEFault, u.seq, u.inst)
 	u.teScoreboard = true
 	// Scoreboard-gated mode watches all operands, not just the fast
 	// side: the entry's wake cycle changes rule.
@@ -451,9 +451,9 @@ func (s *Simulator) squash(u *uop, tagElim bool) {
 	// result tag is off the bus again: refresh it, then its listeners.
 	s.schedRecompute(u.slot)
 	s.schedBroadcast(u)
-	s.trace(s.cycle, EvSquash, u.seq, u.d.Inst)
+	s.trace(s.cycle, EvSquash, u.seq, u.inst)
 	if s.hot != nil {
-		s.hot.note(u.d.PC, u.d.Inst, s.hot.squashes)
+		s.hot.note(u.pc, u.inst, s.hot.squashes)
 	}
 	if u.isStore() {
 		u.addrKnownCycle = notReady

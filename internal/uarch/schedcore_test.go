@@ -20,7 +20,7 @@ func TestSchedCoreRingDiscipline(t *testing.T) {
 	var live []*uop
 	seq := uint64(0)
 	insert := func() {
-		u := &uop{seq: seq}
+		u := &uop{decoded: decoded{seq: seq}}
 		seq++
 		sc.insert(u)
 		live = append(live, u)
