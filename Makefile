@@ -11,8 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
+# race gives the suite an explicit timeout: under -race,
+# internal/experiments alone takes 9-10 minutes, close to go test's
+# 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # alloc-guard runs the simulator allocation guard outside -race, as CI
 # does: the race detector's instrumentation allocates, so `make race`
