@@ -494,6 +494,11 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, req experiments.Requ
 				return nil, fmt.Errorf("result message without stats")
 			}
 			fw.finish(w.addr)
+			// Read on to the end of the stream, which the worker writes
+			// only once its handler has returned: the run is then over
+			// on both sides, and a body read to EOF lets the transport
+			// reuse the connection.
+			io.Copy(io.Discard, resp.Body)
 			return m.Stats, nil
 		case "error":
 			return nil, fmt.Errorf("worker error: %s", m.Error)

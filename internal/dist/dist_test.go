@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +116,32 @@ func TestWorkerMemoSingleflight(t *testing.T) {
 	}
 	if h.Sims != 1 {
 		t.Fatalf("worker executed %d simulations for one key, want 1", h.Sims)
+	}
+}
+
+// TestExecuteWaitsForWorkerHandler: Execute returns only once the
+// worker's handler chain has returned, so middleware that finishes
+// after the result line (a timing span, say) is done by then.
+func TestExecuteWaitsForWorkerHandler(t *testing.T) {
+	h := NewServer(ServerOptions{Parallel: 1}).Handler()
+	var returned atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == RunPath {
+			time.Sleep(50 * time.Millisecond)
+			returned.Store(true)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	coord := NewCoordinator([]string{ts.URL}, quietOptions(t))
+	defer coord.Close()
+
+	req := experiments.Request{Bench: "gzip", Config: testConfig(), Budget: 2000}
+	if _, err := coord.Execute(context.Background(), req, nil); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if !returned.Load() {
+		t.Fatal("Execute returned before the worker's handler did")
 	}
 }
 
