@@ -16,6 +16,7 @@ import (
 
 	"halfprice/internal/experiments"
 	"halfprice/internal/progress"
+	"halfprice/internal/sample"
 	"halfprice/internal/uarch"
 )
 
@@ -47,13 +48,19 @@ func quietOptions(t *testing.T) Options {
 // combined half-price machine) — through the given backend.
 func sweepJSON(t *testing.T, backend experiments.Backend, parallel int, obs experiments.Observer) ([]byte, *experiments.Runner) {
 	t.Helper()
-	r := experiments.NewRunner(experiments.Options{
+	return runSweepJSON(t, experiments.Options{
 		Insts:      5000,
 		Benchmarks: []string{"gzip", "mcf", "crafty"},
 		Parallel:   parallel,
 		Backend:    backend,
 		Observer:   obs,
 	})
+}
+
+// runSweepJSON renders sweepJSON's artifacts under the given options.
+func runSweepJSON(t *testing.T, opts experiments.Options) ([]byte, *experiments.Runner) {
+	t.Helper()
+	r := experiments.NewRunner(opts)
 	results := []*experiments.Result{r.Table2BaseIPC(), r.Figure6WakeupSlack(), r.Figure16Combined()}
 	data, err := json.Marshal(results)
 	if err != nil {
@@ -85,6 +92,30 @@ func TestLocalDistributedEquivalence(t *testing.T) {
 	}
 	if srvA.Health().Done == 0 || srvB.Health().Done == 0 {
 		t.Errorf("sharding left a worker idle: A=%d B=%d", srvA.Health().Done, srvB.Health().Done)
+	}
+
+	// Sampled: the local sweep shares each benchmark's window plan
+	// through its Runner's memo. The memo reference does not cross the
+	// wire, so each worker plans for itself, and both must agree byte for
+	// byte. 10k instructions make five 2000-instruction intervals, enough
+	// to sample rather than fall back to a full run.
+	spec := sample.DefaultSpec()
+	sampled := func(backend experiments.Backend, parallel int) ([]byte, *experiments.Runner) {
+		return runSweepJSON(t, experiments.Options{
+			Insts:      10000,
+			Benchmarks: []string{"gzip", "mcf", "crafty"},
+			Parallel:   parallel,
+			Backend:    backend,
+			Sample:     &spec,
+		})
+	}
+	serial, _ = sampled(nil, 1)
+	distributed, rs := sampled(coord, 8)
+	if !bytes.Equal(serial, distributed) {
+		t.Fatalf("distributed sampled sweep differs from serial\n--- serial ---\n%s\n--- distributed ---\n%s", serial, distributed)
+	}
+	if remote := srvA.Health().Done + srvB.Health().Done; remote != r.Sims()+rs.Sims() {
+		t.Fatalf("workers executed %d runs, coordinator counted %d", remote, r.Sims()+rs.Sims())
 	}
 }
 

@@ -36,6 +36,13 @@ type Request struct {
 	// pre-sampling builds, and makes sampled results cache under a
 	// distinct key — they never alias full runs in the result store.
 	Sample *sample.Spec `json:"sample,omitempty"`
+
+	// memo is set on the sampled requests a Runner dispatches:
+	// executeSampled takes the window plan from the Runner's memo, so the
+	// configurations of a sweep that read the same plan build it once. encoding/json
+	// drops unexported fields, so keys and the wire format ignore it and
+	// a remote worker plans for itself.
+	memo *memo
 }
 
 // Label is the short human-readable run descriptor used in progress
@@ -67,9 +74,9 @@ func Execute(req Request) (*uarch.Stats, error) {
 }
 
 // newStream builds the request's instruction stream. Streams are
-// single-use; executeSampled calls this twice (profiling pass, then
-// simulation pass) and both see identical instructions — the workloads
-// are seeded and deterministic.
+// single-use; a sampled request's plan profiles one and the simulation
+// runs another, and both see identical instructions — the workloads are
+// seeded and deterministic.
 func newStream(req Request) (trace.Stream, error) {
 	if req.UseKernels {
 		if _, ok := workloads.Source(req.Bench); !ok {
@@ -86,7 +93,8 @@ func newStream(req Request) (trace.Stream, error) {
 
 // executeSampled runs the sampled-simulation path: a fast functional
 // pass profiles the stream into interval signatures, phase detection
-// picks representative windows, and uarch.RunSampled simulates only
+// picks representative windows (both once per plan when a Runner's memo
+// shares the plan; see memo.plan), and uarch.RunSampled simulates only
 // those windows in detail, extrapolating whole-run Stats. Streams too
 // short to sample fall back to the full simulation (the returned Stats
 // then carries a nil Sampled marker, which is how callers tell).
@@ -102,16 +110,41 @@ func executeSampled(req Request) (*uarch.Stats, error) {
 	if req.Config.MaxInsts != 0 {
 		return nil, fmt.Errorf("sampled request: Config.MaxInsts must be zero (Budget bounds the stream), got %d", req.Config.MaxInsts)
 	}
-	profStream, err := newStream(req)
+	plan, err := req.memo.plan(req)
 	if err != nil {
 		return nil, err
 	}
-	prof := uarch.ProfileForSampling(req.Config, profStream, req.Sample.IntervalInsts)
-	plan, ok := sample.BuildPlan(prof, *req.Sample)
-	if !ok {
+	if plan.windows == nil {
 		full := req
 		full.Sample = nil
 		return Execute(full)
+	}
+	stream, err := newStream(req)
+	if err != nil {
+		return nil, err
+	}
+	return uarch.RunSampled(req.Config, stream, plan.windows, plan.total), nil
+}
+
+// windowPlan is a sampled stream's window plan as uarch.RunSampled takes
+// it. Nil windows mean the stream is too short to sample. Runs share a
+// plan, so nothing may modify it.
+type windowPlan struct {
+	windows []uarch.SampleWindow
+	total   uint64
+}
+
+// buildPlan profiles the request's stream and clusters it into a window
+// plan. It reads only what planKey holds.
+func buildPlan(req Request) (*windowPlan, error) {
+	stream, err := newStream(req)
+	if err != nil {
+		return nil, err
+	}
+	prof := uarch.ProfileForSampling(req.Config, stream, req.Sample.IntervalInsts)
+	plan, ok := sample.BuildPlan(prof, *req.Sample)
+	if !ok {
+		return &windowPlan{total: prof.Total}, nil
 	}
 	windows := make([]uarch.SampleWindow, len(plan.Windows))
 	for i, w := range plan.Windows {
@@ -123,11 +156,44 @@ func executeSampled(req Request) (*uarch.Stats, error) {
 			Phase:   w.Phase,
 		}
 	}
-	simStream, err := newStream(req)
-	if err != nil {
-		return nil, err
+	return &windowPlan{windows: windows, total: prof.Total}, nil
+}
+
+// planKey keys a window plan by everything ProfileForSampling and
+// sample.BuildPlan read: the stream (benchmark, workload kind, budget),
+// the sample spec, and the memory and branch-predictor configs. Machines
+// that differ only in the pipeline, such as the 4- and 8-wide cores and
+// every half-price scheme, share one plan.
+func planKey(req Request) runKey {
+	return runKey{
+		bench:   req.Bench,
+		cfg:     uarch.Config{Mem: req.Config.Mem, Bpred: req.Config.Bpred},
+		sample:  *req.Sample,
+		plan:    true,
+		budget:  req.Budget,
+		kernels: req.UseKernels,
 	}
-	return uarch.RunSampled(req.Config, simStream, windows, prof.Total), nil
+}
+
+// plan returns req's window plan. With a memo the first request for a
+// plan builds it and every later one waits for it; without one (a
+// remote worker, a direct Execute) the request builds its own.
+func (m *memo) plan(req Request) (*windowPlan, error) {
+	if m == nil {
+		return buildPlan(req)
+	}
+	e, leader := m.entry(planKey(req))
+	if leader {
+		func() {
+			defer func() {
+				e.panicv = recover()
+				close(e.done)
+			}()
+			e.plan, e.err = buildPlan(req)
+		}()
+	}
+	e.mustJoin()
+	return e.plan, e.err
 }
 
 // Backend is the execution seam of the sweep engine: it turns one

@@ -127,15 +127,16 @@ func (o Options) backend() Backend {
 // Runner executes simulations with memoisation, so experiments that share
 // a configuration (every figure needs the base machine) run it once —
 // including when they ask concurrently: the first request simulates, every
-// later one waits for the same entry (singleflight). Methods are safe for
-// concurrent use.
+// later one waits for the same entry (singleflight). In sampled mode the
+// memo also shares each stream's window plan between the configurations
+// that read the same one (see planKey). Methods are safe for concurrent
+// use.
 type Runner struct {
 	opts    Options
 	backend Backend
 	sem     chan struct{} // bounds simulations in flight
 
-	mu    sync.Mutex
-	cache map[runKey]*inflight
+	memo memo
 
 	sims      atomic.Uint64 // simulations actually executed
 	hits      atomic.Uint64 // requests served from the memo (or by waiting)
@@ -150,26 +151,54 @@ type runKey struct {
 	// distinction in the durable store key.
 	sampled bool
 	sample  sample.Spec
+	// plan marks a window-plan entry (planKey), whose stream also
+	// depends on the budget and the workload kind.
+	plan    bool
+	budget  uint64
+	kernels bool
 }
 
-// inflight is one memo entry: done closes when st is valid, so duplicate
-// requests block on the leader instead of simulating again. If the
-// leader panicked (unknown benchmark, bad kernel), panicv carries the
-// value so waiters re-raise it instead of reading a nil result.
+// memo is the Runner's singleflight map. It holds two kinds of entry: a
+// simulation's Stats, keyed by the run, and a sampled stream's window
+// plan, keyed by planKey.
+type memo struct {
+	mu sync.Mutex
+	m  map[runKey]*inflight
+}
+
+// entry returns key's entry and whether the caller created it. The
+// creator computes the entry, then closes done, panic or not.
+func (m *memo) entry(key runKey) (*inflight, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.m[key]; ok {
+		return e, false
+	}
+	e := &inflight{done: make(chan struct{})}
+	m.m[key] = e
+	return e, true
+}
+
+// inflight is one memo entry: done closes when st (or plan and err) is
+// valid, so duplicate requests block on the leader instead of computing
+// again. If the leader panicked (unknown benchmark, bad kernel), panicv
+// carries the value so waiters re-raise it instead of reading a nil
+// result.
 type inflight struct {
 	done   chan struct{}
 	st     *uarch.Stats
+	plan   *windowPlan
+	err    error
 	panicv any
 }
 
-// mustJoin waits for the in-flight simulation and returns its result,
-// re-raising the leader's panic on this goroutine if it had one.
-func (e *inflight) mustJoin() *uarch.Stats {
+// mustJoin waits for the entry, re-raising the leader's panic on this
+// goroutine if it had one.
+func (e *inflight) mustJoin() {
 	<-e.done
 	if e.panicv != nil {
 		panic(e.panicv)
 	}
-	return e.st
 }
 
 // panicBox carries the first panic raised inside a fan-out's worker
@@ -202,7 +231,7 @@ func NewRunner(opts Options) *Runner {
 		opts:    opts,
 		backend: opts.backend(),
 		sem:     make(chan struct{}, opts.parallel()),
-		cache:   make(map[runKey]*inflight),
+		memo:    memo{m: make(map[runKey]*inflight)},
 	}
 }
 
@@ -254,20 +283,19 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 		key.sample = *r.opts.Sample
 	}
 
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		st := e.mustJoin()
+	e, leader := r.memo.entry(key)
+	if !leader {
+		e.mustJoin()
 		r.hits.Add(1)
-		return st
+		return e.st
 	}
-	e := &inflight{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
 
 	obs := r.opts.Observer
 	budget := r.opts.insts() + r.opts.Warmup
 	req := Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: r.opts.UseKernels, Sample: r.opts.Sample}
+	if req.Sample != nil {
+		req.memo = &r.memo
+	}
 
 	// Durable-store tier, fast path: a result checkpointed by an
 	// earlier (possibly killed) sweep is served without queueing for a
@@ -325,7 +353,8 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 			r.sims.Add(1)
 		}
 	}()
-	return e.mustJoin()
+	e.mustJoin()
+	return e.st
 }
 
 // Base simulates the baseline machine.

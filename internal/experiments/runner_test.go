@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 
+	"halfprice/internal/sample"
 	"halfprice/internal/uarch"
 )
 
@@ -158,27 +160,47 @@ func TestRunnerConcurrentExperiments(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPanicPropagatesToWaiters requests the same unknown benchmark from
+// TestPanicPropagatesToWaiters requests an unknown benchmark from
 // several goroutines: the singleflight leader panics, and every waiter
 // must re-raise that panic on its own stack instead of deadlocking on
-// the inflight entry or returning a nil *Stats.
+// the inflight entry or returning a nil *Stats. In the sampled case the
+// goroutines ask for 4- and 8-wide runs, which share a plan entry but
+// not a Stats entry, so the plan's error must reach both.
 func TestPanicPropagatesToWaiters(t *testing.T) {
-	r := NewRunner(Options{Insts: 100, Parallel: 2})
-	var wg sync.WaitGroup
-	panics := make([]any, 4)
-	for i := range panics {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			r.Run("frobnitz", 4, nil)
-		}(i)
-	}
-	wg.Wait()
-	for i, p := range panics {
-		if p == nil {
-			t.Fatalf("goroutine %d: unknown-benchmark panic not propagated", i)
-		}
+	spec := sample.DefaultSpec()
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		widths []int
+	}{
+		{"full", Options{Insts: 100, Parallel: 2}, []int{4}},
+		{"sampled", Options{Insts: 100, Parallel: 2, Sample: &spec}, []int{4, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(tc.opts)
+			var wg sync.WaitGroup
+			panics := make([]any, 4)
+			for i := range panics {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					defer func() { panics[i] = recover() }()
+					r.Run("frobnitz", tc.widths[i%len(tc.widths)], nil)
+				}(i)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("a waiter hung on the failed entry")
+			}
+			for i, p := range panics {
+				if p == nil {
+					t.Fatalf("goroutine %d: unknown-benchmark panic not propagated", i)
+				}
+			}
+		})
 	}
 }
 

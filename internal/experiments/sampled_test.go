@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"halfprice/internal/sample"
@@ -110,5 +112,92 @@ func TestSampledExecuteShortStreamFallsBack(t *testing.T) {
 	}
 	if st.IPC() != full.IPC() {
 		t.Fatalf("fallback IPC %.4f differs from full run %.4f", st.IPC(), full.IPC())
+	}
+}
+
+// planConfigs are four machines, three window plans: the combined
+// half-price machine differs from base only in the pipeline, while
+// next-line prefetch and a smaller bimodal table change what the
+// profiling pass sees. At 30k instructions the smaller table changes
+// gzip's and mcf's plans, and prefetch changes gzip's.
+var planConfigs = []func(*uarch.Config){
+	nil,
+	func(c *uarch.Config) { c.Wakeup, c.Regfile = uarch.WakeupSequential, uarch.RFSequential },
+	func(c *uarch.Config) { c.Mem.DL1.NextLinePrefetch = true },
+	func(c *uarch.Config) { c.Bpred.BimodalEntries = 64 },
+}
+
+// planEntries counts the window plans in a Runner's memo per benchmark.
+func planEntries(r *Runner) map[string]int {
+	n := map[string]int{}
+	for k := range r.memo.m {
+		if k.plan {
+			n[k.bench]++
+		}
+	}
+	return n
+}
+
+// TestSharedPlanMatchesFreshPlan: a sampled sweep builds each window
+// plan once and shares it between the machines whose memory and
+// predictor configs match, and every shared-plan result equals a direct
+// Execute, which plans for itself.
+func TestSharedPlanMatchesFreshPlan(t *testing.T) {
+	spec := sample.DefaultSpec()
+	var reqs []Request
+	for _, b := range []string{"gzip", "mcf"} {
+		for _, m := range planConfigs {
+			reqs = append(reqs, Request{Bench: b, Config: config(4, m), Budget: 30000, Sample: &spec})
+		}
+	}
+	fresh := make([]*uarch.Stats, len(reqs))
+	for i, req := range reqs {
+		st, err := Execute(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Sampled == nil {
+			t.Fatalf("%s %s fell back to a full run", req.Bench, req.Label())
+		}
+		fresh[i] = st
+	}
+	for _, parallel := range []int{1, 8} {
+		r := NewRunner(Options{Insts: 30000, Benchmarks: []string{"gzip", "mcf"}, Parallel: parallel, Sample: &spec})
+		var wg sync.WaitGroup
+		got := make([]*uarch.Stats, len(reqs))
+		for i, req := range reqs {
+			wg.Add(1)
+			go func(i int, req Request) {
+				defer wg.Done()
+				got[i] = r.Run(req.Bench, req.Config.Width, func(c *uarch.Config) { *c = req.Config })
+			}(i, req)
+		}
+		wg.Wait()
+		for i, req := range reqs {
+			if !reflect.DeepEqual(got[i], fresh[i]) {
+				t.Errorf("-j %d: %s %s with a shared plan differs from a fresh Execute", parallel, req.Bench, req.Label())
+			}
+		}
+		if plans := planEntries(r); !reflect.DeepEqual(plans, map[string]int{"gzip": 3, "mcf": 3}) {
+			t.Errorf("-j %d: plans per benchmark %v, want one per memory and predictor config, 3 each", parallel, plans)
+		}
+		shared := reqs[0]
+		shared.memo = &r.memo
+		if shared.Key() != reqs[0].Key() {
+			t.Fatalf("the plan memo leaked into the request key: %s", shared.Key())
+		}
+	}
+}
+
+// TestAllSharesOnePlanPerBenchmark pins the saving on the paper's whole
+// evaluation: Runner.All varies no memory or predictor setting, so its
+// 92 sampled simulations over four benchmarks build four plans.
+func TestAllSharesOnePlanPerBenchmark(t *testing.T) {
+	spec := sample.DefaultSpec()
+	r := NewRunner(Options{Insts: 10000, Benchmarks: []string{"gzip", "mcf", "crafty", "vpr"}, Parallel: 2, Sample: &spec})
+	r.All()
+	want := map[string]int{"gzip": 1, "mcf": 1, "crafty": 1, "vpr": 1}
+	if plans := planEntries(r); r.Sims() != 92 || !reflect.DeepEqual(plans, want) {
+		t.Fatalf("All ran %d simulations with plans per benchmark %v, want 92 and %v", r.Sims(), plans, want)
 	}
 }

@@ -96,7 +96,11 @@ func bit(slot int32) (word int, mask uint64) {
 // producer listeners and computes its wake cycle.
 func (sc *schedCore) insert(u *uop) {
 	slot := int32(sc.next)
-	mustf(sc.ent[slot] == nil && sc.n < sc.cap, "uarch: scheduler slot %d reused while occupied", slot)
+	// The guards call mustf only on failure, as Run's watchdog does:
+	// passing the slot to its variadic arguments boxes it on every call.
+	if sc.ent[slot] != nil || sc.n >= sc.cap {
+		mustf(false, "uarch: scheduler slot %d reused while occupied", slot)
+	}
 	if sc.next++; sc.next == sc.cap {
 		sc.next = 0
 	}
@@ -137,7 +141,9 @@ func (sc *schedCore) at(i int) *uop {
 
 // removeHead retires the oldest entry (commit order), freeing its slot.
 func (sc *schedCore) removeHead(u *uop) {
-	mustf(int(u.slot) == sc.head && sc.ent[u.slot] == u, "uarch: out-of-order scheduler retirement at slot %d", u.slot)
+	if int(u.slot) != sc.head || sc.ent[u.slot] != u {
+		mustf(false, "uarch: out-of-order scheduler retirement at slot %d", u.slot)
+	}
 	sc.ent[u.slot] = nil
 	w, m := bit(u.slot)
 	sc.validW[w] &^= m
