@@ -18,11 +18,8 @@ func (s *Simulator) commit(c int64) {
 			return
 		}
 		if u.isStore() {
-			// Split store: the data move must have its value, and the
-			// cache write happens now, at commit (paper §2.3).
-			if u.dataProducer != nil && u.dataProducer.state != stateDone && u.dataProducer.state != stateCommitted {
-				return
-			}
+			// Split store: the cache write happens now, at commit (paper
+			// §2.3).
 			s.hier.StoreLatency(u.effAddr)
 		}
 		u.state = stateCommitted
@@ -35,7 +32,7 @@ func (s *Simulator) commit(c int64) {
 			s.regMap[u.dest] = nil
 		}
 		if u.isLoad() || u.isStore() {
-			s.unlinkLSQ(u)
+			s.popLSQ(u)
 		}
 		s.recordCommit(u)
 		if s.cfg.MaxInsts > 0 && s.st.Committed+s.st.WarmupDiscarded >= s.cfg.MaxInsts {
@@ -71,13 +68,16 @@ func (s *Simulator) replaySafe(u *uop, c int64) bool {
 	return true
 }
 
-func (s *Simulator) unlinkLSQ(u *uop) {
-	for i, v := range s.lsq {
-		if v == u {
-			s.lsq = append(s.lsq[:i], s.lsq[i+1:]...)
-			return
-		}
+// popLSQ removes the committing load or store u from the LSQ. Memory
+// operations commit in program order, so u is the oldest entry: the
+// head moves past it and no other entry moves.
+func (s *Simulator) popLSQ(u *uop) {
+	if s.lsqLen == 0 || s.lsq[s.lsqHead] != u {
+		mustf(false, "uarch: committing memory operation seq=%d is not the LSQ head", u.seq)
 	}
+	s.lsq[s.lsqHead] = nil
+	s.lsqHead = (s.lsqHead + 1) & (len(s.lsq) - 1)
+	s.lsqLen--
 }
 
 // recordCommit gathers the per-instruction statistics behind the paper's

@@ -399,3 +399,40 @@ func TestFrontQueueUnboundedKnownDeviation(t *testing.T) {
 	}
 	t.Logf("front queue peaked at %d entries against %d front-end slots", d.max, slots)
 }
+
+// TestReplayWaitOnlyUnderExtraRFStageKnownDeviation pins a known
+// deviation (ROADMAP, load-shadow finding 3): the CPI stack's
+// replay-wait class is empty under every scheme but the extra register-
+// file stage. A load verifies hit/miss at t+1+DL1, the first cycle its
+// dependents could issue, and verifyLoads runs before issue, so nothing
+// issued after the load reaches the head before the load verifies. Only
+// the extra RF stage verifies a cycle later. Finding 2's fix, verifying
+// after the issue-to-execute distance as the paper's pipeline does,
+// inverts this test.
+func TestReplayWaitOnlyUnderExtraRFStageKnownDeviation(t *testing.T) {
+	wantReplayWait := map[string]bool{"base": false, "halfprice": false, "tagelim": false, "pipelined-rf": true}
+	widths := []struct {
+		name string
+		cfg  func() Config
+	}{{"4wide", Config4Wide}, {"8wide", Config8Wide}}
+	for _, bench := range trace.BenchmarkNames {
+		p, _ := trace.ProfileByName(bench)
+		for _, w := range widths {
+			for _, sch := range equivSchemes {
+				want, ok := wantReplayWait[sch.name]
+				if !ok {
+					continue
+				}
+				cfg := w.cfg()
+				if sch.mutate != nil {
+					sch.mutate(&cfg)
+				}
+				got := New(cfg, trace.NewSynthetic(p, 20000)).Run().CycleClasses[CycleReplayWait]
+				if (got > 0) != want {
+					t.Errorf("%s/%s/%s: %d replay-wait cycles, want them present=%v: the deviation moved, update this test",
+						bench, w.name, sch.name, got, want)
+				}
+			}
+		}
+	}
+}

@@ -174,8 +174,9 @@ func (s *Simulator) occupyDiv(busy []int64, c int64, lat int) {
 // store forwards its data.
 func (s *Simulator) lsqReadyForLoad(u *uop, c int64) (forward, ok bool) {
 	blk := u.effAddr &^ 7
-	for i := len(s.lsq) - 1; i >= 0; i-- {
-		v := s.lsq[i]
+	mask := len(s.lsq) - 1
+	for i := s.lsqLen - 1; i >= 0; i-- {
+		v := s.lsq[(s.lsqHead+i)&mask]
 		if v.seq >= u.seq {
 			continue
 		}

@@ -72,11 +72,10 @@ type uop struct {
 	slot int32
 
 	// Scheduling sources. Stores schedule on the base register only (the
-	// split agen+move of §2.3); the data register is tracked separately
-	// and gates commit, not issue.
-	nsrc         int
-	src          [2]*uop // producer in the window; nil = architectural value
-	dataProducer *uop
+	// split agen+move of §2.3); the data register's producer is older, so
+	// it has committed before the store can.
+	nsrc int
+	src  [2]*uop // producer in the window; nil = architectural value
 
 	state         uopState
 	dispatchCycle int64
