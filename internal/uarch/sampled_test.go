@@ -24,14 +24,14 @@ func TestWarmerCountsConditionalMispredictsOnly(t *testing.T) {
 	if _, mispred, _ := accessBranchPredictors(bpred.New(cfg.Bpred), &jmp); !mispred {
 		t.Fatal("a cold indirect jump should mispredict")
 	}
-	if _, misp := w.observe(jmp); misp {
+	if _, misp := w.observe(&jmp); misp {
 		t.Fatal("warmer counted a jump mispredict")
 	}
 	// Direction counters reset to weakly taken: a cold not-taken
 	// conditional branch mispredicts.
 	beqz := trace.DynInst{PC: 0x2000, NextPC: 0x2008,
 		Inst: isa.Inst{Op: isa.OpBEQZ, Ra: isa.IntReg(1), Imm: 4}}
-	if _, misp := w.observe(beqz); !misp {
+	if _, misp := w.observe(&beqz); !misp {
 		t.Fatal("warmer missed a conditional-branch mispredict")
 	}
 }

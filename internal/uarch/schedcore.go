@@ -69,21 +69,29 @@ type schedCore struct {
 }
 
 func newSchedCore(cap int) *schedCore {
+	sc := new(schedCore)
+	sc.reset(cap)
+	return sc
+}
+
+// reset empties the core for a window of cap entries, clearing and
+// reusing the storage it already holds.
+func (sc *schedCore) reset(cap int) {
 	words := (cap + 63) / 64
-	return &schedCore{
+	*sc = schedCore{
 		cap:       cap,
 		words:     words,
-		ent:       make([]*uop, cap),
-		wakeCycle: make([]int64, cap),
-		validW:    make([]uint64, words),
-		waitW:     make([]uint64, words),
-		issuedW:   make([]uint64, words),
-		prioW:     make([]uint64, words),
-		reqW:      make([]uint64, words),
-		scratchW:  make([]uint64, words),
-		squashW:   make([]uint64, words),
-		srcMatch:  make([]uint64, cap*words),
-		order:     make([]int32, 0, cap),
+		ent:       reuse(sc.ent, cap),
+		wakeCycle: reuse(sc.wakeCycle, cap),
+		validW:    reuse(sc.validW, words),
+		waitW:     reuse(sc.waitW, words),
+		issuedW:   reuse(sc.issuedW, words),
+		prioW:     reuse(sc.prioW, words),
+		reqW:      reuse(sc.reqW, words),
+		scratchW:  reuse(sc.scratchW, words),
+		squashW:   reuse(sc.squashW, words),
+		srcMatch:  reuse(sc.srcMatch, cap*words),
+		order:     reuse(sc.order, cap)[:0],
 	}
 }
 
