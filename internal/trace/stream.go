@@ -39,12 +39,20 @@ func NewSliceStream(insts []DynInst) *SliceStream { return &SliceStream{insts: i
 
 // Next returns the next instruction.
 func (s *SliceStream) Next() (DynInst, bool) {
+	var d DynInst
+	ok := s.NextInto(&d)
+	return d, ok
+}
+
+// NextInto writes the next instruction into d, or reports false and
+// leaves d alone at the end of the slice.
+func (s *SliceStream) NextInto(d *DynInst) bool {
 	if s.pos >= len(s.insts) {
-		return DynInst{}, false
+		return false
 	}
-	d := s.insts[s.pos]
+	*d = s.insts[s.pos]
 	s.pos++
-	return d, true
+	return true
 }
 
 // FromExec converts a functional-simulator record.
@@ -68,16 +76,25 @@ func NewVMStream(m *vm.Machine, max uint64) *VMStream { return &VMStream{m: m, m
 
 // Next executes and returns one instruction.
 func (s *VMStream) Next() (DynInst, bool) {
+	var d DynInst
+	ok := s.NextInto(&d)
+	return d, ok
+}
+
+// NextInto executes one instruction and writes it into d, or reports
+// false and leaves d alone once the stream has ended.
+func (s *VMStream) NextInto(d *DynInst) bool {
 	if s.err != nil || s.m.Halted || (s.max > 0 && s.n >= s.max) {
-		return DynInst{}, false
+		return false
 	}
 	rec, err := s.m.Step()
 	if err != nil {
 		s.err = err
-		return DynInst{}, false
+		return false
 	}
 	s.n++
-	return FromExec(rec), true
+	*d = FromExec(rec)
+	return true
 }
 
 // Err returns the trap that ended the stream, if any.

@@ -107,13 +107,22 @@ func (s *Synthetic) StaticInsts() int {
 
 // Next emits the next dynamic instruction.
 func (s *Synthetic) Next() (DynInst, bool) {
+	var d DynInst
+	ok := s.NextInto(&d)
+	return d, ok
+}
+
+// NextInto writes the next dynamic instruction into d field by field, so
+// that a caller reading into its own record gets each instruction written
+// once. At the end of the stream it reports false and leaves d alone.
+func (s *Synthetic) NextInto(d *DynInst) bool {
 	if s.seq >= s.max {
-		return DynInst{}, false
+		return false
 	}
 	blk := &s.blocks[s.cur]
 	st := &blk.sites[s.siteIdx]
 	pc := blk.startPC + uint64(s.siteIdx)*isa.InstBytes
-	d := DynInst{Seq: s.seq, PC: pc, Inst: st.inst, NextPC: pc + isa.InstBytes}
+	d.Seq, d.PC, d.Inst, d.NextPC, d.EffAddr, d.Taken = s.seq, pc, st.inst, pc+isa.InstBytes, 0, false
 	if st.addr != nil {
 		d.EffAddr = st.addr.next(s.r)
 	}
@@ -148,7 +157,7 @@ func (s *Synthetic) Next() (DynInst, bool) {
 		s.goTo(ret)
 	}
 	s.seq++
-	return d, true
+	return true
 }
 
 func (s *Synthetic) advance() {
