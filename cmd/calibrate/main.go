@@ -43,7 +43,7 @@ func main() {
 
 	opts := halfprice.Options{Insts: *insts, Parallel: *par}
 	opts.Store = store.FromFlags(*cacheDir, *noCache)
-	coord, closeCoord, derr := dflags.Coordinator(nil)
+	coord, closeCoord, derr := dflags.Coordinator()
 	if derr != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", derr)
 		os.Exit(2)

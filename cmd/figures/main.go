@@ -81,7 +81,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Sample = spec
-	coord, closeCoord, derr := dflags.Coordinator(nil)
+	coord, closeCoord, derr := dflags.Coordinator()
 	if derr != nil {
 		fmt.Fprintln(os.Stderr, "figures:", derr)
 		os.Exit(2)

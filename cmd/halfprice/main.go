@@ -128,42 +128,48 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Hot-spot runs bypass the result store: the Stats could be served
-	// from disk, but the per-PC report they exist for cannot.
-	cache := store.FromFlags(*cacheDir, *noCache)
-	if *hot > 0 {
-		cache = nil
-	}
-
-	if dflags.Enabled() && *hot == 0 {
-		st := runDistributed(tracker, cache, cfg, *bench, *insts+*warmup, *kernel, dflags)
-		printStats(*bench, cfg, st)
+	budget := *insts + *warmup
+	if *hot == 0 {
+		printStats(*bench, cfg, run(tracker, store.FromFlags(*cacheDir, *noCache), cfg, *bench, budget, *kernel, dflags))
 		return
 	}
+	// Hot-spot runs bypass the result store: the Stats could be served
+	// from disk, but the per-PC report they exist for cannot.
 	if dflags.Enabled() {
 		fmt.Fprintln(os.Stderr, "halfprice: -hot profiles locally; ignoring -workers/-registry")
 	}
-	if cache != nil {
-		printStats(*bench, cfg, runCached(tracker, cache, cfg, *bench, *insts+*warmup, *kernel))
-		return
-	}
 	var hotReport string
-	st := observe(tracker, *bench, cfg, *insts+*warmup, func() *halfprice.Stats {
-		var st *halfprice.Stats
-		st, hotReport = simulate(cfg, *bench, *insts+*warmup, *kernel, *hot)
+	st := observe(tracker, *bench, cfg, budget, func() *halfprice.Stats {
+		st, report, err := halfprice.SimulateHot(cfg, *bench, budget, *kernel, *hot)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "halfprice:", err)
+			os.Exit(1)
+		}
+		hotReport = report
 		return st
 	})
 	printStats(*bench, cfg, st)
-	if hotReport != "" {
-		fmt.Print(hotReport)
-	}
+	fmt.Print(hotReport)
 }
 
-// runCached executes the single plain simulation through the durable
-// result store: a previous identical run — by this command or any sweep
+// run executes the single plain simulation the way a sweep executes each
+// of its runs: through the durable result store, on the sweepd fleet
+// when -workers or -registry name one (the coordinator falls back to
+// local execution when no worker is reachable) and in-process
+// otherwise. A previous identical run — by this command or any sweep
 // sharing the cache directory — is served from disk as a cache hit, and
 // a fresh run is checkpointed for the next one.
-func runCached(tr *progress.Tracker, cache *store.Store, cfg halfprice.Config, bench string, budget uint64, kernel bool) *halfprice.Stats {
+func run(tr *progress.Tracker, cache *store.Store, cfg halfprice.Config, bench string, budget uint64, kernel bool, dflags *dist.Flags) *halfprice.Stats {
+	coord, closeCoord, err := dflags.Coordinator()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "halfprice:", err)
+		os.Exit(2)
+	}
+	defer closeCoord()
+	var backend experiments.Backend = experiments.LocalBackend{}
+	if coord != nil {
+		backend = coord
+	}
 	req := experiments.Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: kernel}
 	var obs experiments.Observer
 	if tr != nil {
@@ -171,7 +177,7 @@ func runCached(tr *progress.Tracker, cache *store.Store, cfg halfprice.Config, b
 		tr.RunQueued(bench, req.Label(), budget)
 	}
 	st, cached, err := cache.GetOrCompute(req.Key(), func() (*halfprice.Stats, error) {
-		return experiments.LocalBackend{}.Execute(context.Background(), req, obs)
+		return backend.Execute(context.Background(), req, obs)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "halfprice:", err)
@@ -179,32 +185,6 @@ func runCached(tr *progress.Tracker, cache *store.Store, cfg halfprice.Config, b
 	}
 	if cached {
 		experiments.NotifyCached(obs, bench, req.Label(), budget)
-	}
-	return st
-}
-
-// runDistributed dispatches the single simulation to the sweepd fleet
-// through the same coordinator backend the sweep commands use; the
-// coordinator degrades to local execution when no worker is reachable
-// and, when a result store is wired, serves and checkpoints results
-// through it.
-func runDistributed(tracker *progress.Tracker, cache *store.Store, cfg halfprice.Config, bench string, budget uint64, kernel bool, dflags *dist.Flags) *halfprice.Stats {
-	coord, closeCoord, err := dflags.Coordinator(cache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halfprice:", err)
-		os.Exit(2)
-	}
-	defer closeCoord()
-	req := experiments.Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: kernel}
-	var obs experiments.Observer
-	if tracker != nil {
-		obs = tracker
-		tracker.RunQueued(bench, req.Label(), budget)
-	}
-	st, err := coord.Execute(context.Background(), req, obs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halfprice:", err)
-		os.Exit(1)
 	}
 	return st
 }
@@ -221,27 +201,6 @@ func observe(tr *progress.Tracker, bench string, cfg halfprice.Config, insts uin
 	st := run()
 	tr.RunFinished(bench, label, insts)
 	return st
-}
-
-// simulate runs the chosen workload, optionally with hot-spot profiling.
-func simulate(cfg halfprice.Config, bench string, insts uint64, kernel bool, hotN int) (*halfprice.Stats, string) {
-	if hotN <= 0 {
-		if kernel {
-			return halfprice.SimulateKernel(cfg, bench, insts), ""
-		}
-		st, err := halfprice.Simulate(cfg, bench, insts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "halfprice:", err)
-			os.Exit(1)
-		}
-		return st, ""
-	}
-	st, report, err := halfprice.SimulateHot(cfg, bench, insts, kernel, hotN)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halfprice:", err)
-		os.Exit(1)
-	}
-	return st, report
 }
 
 func buildConfig(width int, wakeup, regfile, recovery, pred string, predEntries int) (halfprice.Config, error) {

@@ -110,10 +110,7 @@ func main() {
 		Tenants:     tenants,
 		Logf:        logf,
 	}
-	// The coordinator gets no store of its own: the serve layer already
-	// wraps every dispatch in the store, so wiring it twice would
-	// double-check the cache on each run.
-	coord, closeCoord, err := fleet.Coordinator(nil)
+	coord, closeCoord, err := fleet.Coordinator()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hpserve:", err)
 		os.Exit(1)

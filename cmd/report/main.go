@@ -66,7 +66,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Sample = spec
-	coord, closeCoord, derr := dflags.Coordinator(nil)
+	coord, closeCoord, derr := dflags.Coordinator()
 	if derr != nil {
 		fmt.Fprintln(os.Stderr, "report:", derr)
 		os.Exit(2)

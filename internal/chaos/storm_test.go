@@ -210,19 +210,21 @@ func TestChaosStormPartitionSkewSlowDisk(t *testing.T) {
 		Transport:        in.Transport(nil),
 		Clock:            in.Clock(), // skewed 45s off real time
 		Jitter:           rand.New(rand.NewSource(2203)),
-		Store:            st,
 		Logf:             t.Logf,
 	})
 	defer coord.Close()
 
-	// Two passes over the same requests: the first populates the store
-	// through the faulty disk (failed Puts degrade to warnings), the
-	// second is served from whatever survived — hits and recomputes must
-	// both match local execution bit for bit.
+	// Two passes over the same requests, each wrapped in the store the
+	// way cmd/halfprice wraps its backend: the first populates the store
+	// through the faulty disk (failed locks and Puts degrade to
+	// warnings), the second is served from whatever survived — hits and
+	// recomputes must both match local execution bit for bit.
 	for pass := 0; pass < 2; pass++ {
 		for _, bench := range []string{"gzip", "mcf", "crafty", "vpr"} {
 			req := experiments.Request{Bench: bench, Config: uarch.Config4Wide(), Budget: 3000}
-			got, err := coord.Execute(context.Background(), req, nil)
+			got, _, err := st.GetOrCompute(req.Key(), func() (*uarch.Stats, error) {
+				return coord.Execute(context.Background(), req, nil)
+			})
 			if err != nil {
 				t.Fatalf("pass %d %s: Execute under partition/skew/slow disk: %v", pass, bench, err)
 			}

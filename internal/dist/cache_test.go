@@ -5,22 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"halfprice/internal/experiments"
-	"halfprice/internal/store"
 	"halfprice/internal/trace"
 )
-
-// cachedCountingObserver extends countingObserver with the
-// CachedObserver method, counting store-served runs.
-type cachedCountingObserver struct {
-	countingObserver
-	cached atomic.Int64
-}
-
-func (o *cachedCountingObserver) RunCached(string, string, uint64) { o.cached.Add(1) }
 
 // TestFallbackWarnsOncePerSweep: against an all-dead fleet every request
 // of a sweep degrades to local execution, but the fallback warning must
@@ -50,62 +39,5 @@ func TestFallbackWarnsOncePerSweep(t *testing.T) {
 	mu.Unlock()
 	if got := strings.Count(logged, "falling back to local execution"); got != 1 {
 		t.Fatalf("fallback warning fired %d times across 4 requests, want exactly 1; log:\n%s", got, logged)
-	}
-}
-
-// TestCoordinatorStoreTier checks the durable result tier on directly
-// coordinated requests (cmd/halfprice's single-run path): the first
-// Execute runs on the fleet and checkpoints the result, a repeat — even
-// through a brand-new coordinator, as after a crash — is served from
-// the store without touching a worker, and the observer hears about it
-// as a cache hit.
-func TestCoordinatorStoreTier(t *testing.T) {
-	dir := t.TempDir()
-	openStore := func() *store.Store {
-		s, err := store.Open(dir, store.Options{Fingerprint: "fp-test", Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	srv, ts := startWorker(t)
-
-	opts := quietOptions(t)
-	opts.Store = openStore()
-	coord := NewCoordinator([]string{ts.URL}, opts)
-	defer coord.Close()
-
-	req := experiments.Request{Bench: "gzip", Config: testConfig(), Budget: 2000}
-	first, err := coord.Execute(context.Background(), req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := srv.Health().Done; done != 1 {
-		t.Fatalf("worker completed %d runs after first Execute, want 1", done)
-	}
-
-	// A fresh coordinator over the same store directory: the restart
-	// case. The result must come from disk, not the worker.
-	opts2 := quietOptions(t)
-	opts2.Store = openStore()
-	coord2 := NewCoordinator([]string{ts.URL}, opts2)
-	defer coord2.Close()
-
-	obs := &cachedCountingObserver{}
-	second, err := coord2.Execute(context.Background(), req, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := srv.Health().Done; done != 1 {
-		t.Fatalf("worker completed %d runs after cached Execute, want still 1", done)
-	}
-	if statsJSON(t, first) != statsJSON(t, second) {
-		t.Fatal("store-served result differs from the worker's original")
-	}
-	if got := obs.cached.Load(); got != 1 {
-		t.Fatalf("observer saw %d cache hits, want 1", got)
-	}
-	if s, f := obs.started.Load(), obs.finished.Load(); s != 0 || f != 0 {
-		t.Fatalf("cached request must not report start/finish, got %d/%d", s, f)
 	}
 }

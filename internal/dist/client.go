@@ -19,7 +19,6 @@ import (
 
 	"halfprice/internal/chaos"
 	"halfprice/internal/experiments"
-	"halfprice/internal/store"
 	"halfprice/internal/uarch"
 )
 
@@ -56,11 +55,6 @@ type Options struct {
 	// — typically a RootCAs pool trusting the fleet's self-signed or
 	// private-CA certificate (see TLSConfigFromCA).
 	TLS *tls.Config
-	// LoadThreshold tunes load-aware dispatch: a shard's preferred
-	// worker is skipped in favour of the least-loaded healthy worker
-	// when its probed queue depth exceeds the fleet median by more than
-	// this (0 = default 4).
-	LoadThreshold int64
 	// BreakerThreshold is how many consecutive probe or dispatch
 	// failures open a worker's circuit breaker (default 1: the first
 	// failure evicts, as the pre-breaker coordinator did).
@@ -97,13 +91,6 @@ type Options struct {
 	// Logf receives eviction, retry and fallback warnings (default:
 	// stderr).
 	Logf func(format string, args ...any)
-	// Store, when non-nil, is the durable result tier for requests
-	// executed directly through this coordinator (cmd/halfprice's
-	// single-run path): a stored result is served without touching the
-	// fleet, and every fetched result is checkpointed. Sweeps driven by
-	// experiments.Runner wire the store into the Runner instead, above
-	// this backend.
-	Store *store.Store
 }
 
 func (o Options) withDefaults() Options {
@@ -207,7 +194,6 @@ func NewCoordinator(addrs []string, opts Options) *Coordinator {
 			tls:              opts.TLS,
 			transport:        opts.Transport,
 			clock:            opts.Clock,
-			loadThreshold:    opts.LoadThreshold,
 			breakerThreshold: opts.BreakerThreshold,
 			breakerCooldown:  opts.BreakerCooldown,
 			logf:             opts.Logf,
@@ -248,39 +234,16 @@ func (c *Coordinator) FleetLoad() (workers int, running int64) {
 	return workers, running
 }
 
-// Execute implements experiments.Backend: serve from the durable result
-// store when one is wired, else dispatch to the request's preferred
-// worker, re-dispatch on failure, and degrade to local execution when
-// the fleet is unreachable. Observer events fire exactly once per run
-// regardless of retries or hedging. ctx bounds the whole attempt
-// sequence — one budget decremented across retries, not one per
+// Execute implements experiments.Backend: dispatch to the request's
+// preferred worker, re-dispatch on failure, and degrade to local
+// execution when the fleet is unreachable. Observer events fire exactly
+// once per run regardless of retries or hedging. ctx bounds the whole
+// attempt sequence — one budget decremented across retries, not one per
 // attempt; a done ctx stops retrying, backing off and falling back.
 func (c *Coordinator) Execute(ctx context.Context, req experiments.Request, obs experiments.Observer) (*uarch.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := req.Key()
-	if c.opts.Store != nil {
-		if st, ok := c.opts.Store.Get(key); ok {
-			experiments.NotifyCached(obs, req.Bench, req.Label(), req.Budget)
-			return st, nil
-		}
-	}
-	st, err := c.execute(ctx, req, obs)
-	if err != nil {
-		return nil, err
-	}
-	if c.opts.Store != nil {
-		if perr := c.opts.Store.Put(key, st); perr != nil {
-			c.opts.Logf("dist: warning: %v; result not cached", perr)
-		}
-	}
-	return st, nil
-}
-
-// execute is Execute past the store tier: the dispatch/retry/hedge/
-// fallback state machine.
-func (c *Coordinator) execute(ctx context.Context, req experiments.Request, obs experiments.Observer) (*uarch.Stats, error) {
 	fw := &forwarder{obs: obs, bench: req.Bench, label: req.Label(), insts: req.Budget}
 	sh := shard(req.Key())
 	for attempt := 0; attempt < c.opts.Attempts; attempt++ {

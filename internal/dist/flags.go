@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	"halfprice/internal/store"
 )
 
 // Flags is the coordinator-side flag bundle shared by every
@@ -49,11 +47,8 @@ func (f *Flags) Enabled() bool {
 
 // Coordinator builds the coordinator the parsed flags describe. With
 // neither -workers nor -registry set it returns a nil coordinator
-// (leave Options.Backend nil) and a no-op closer. st, which may be
-// nil, is the durable result store for directly coordinated requests;
-// sweep commands pass nil here and wire the store into the Runner
-// instead, so results are checkpointed exactly once.
-func (f *Flags) Coordinator(st *store.Store) (*Coordinator, func(), error) {
+// (leave Options.Backend nil) and a no-op closer.
+func (f *Flags) Coordinator() (*Coordinator, func(), error) {
 	if !f.Enabled() {
 		return nil, func() {}, nil
 	}
@@ -64,7 +59,6 @@ func (f *Flags) Coordinator(st *store.Store) (*Coordinator, func(), error) {
 		HealthInterval: f.HealthInterval,
 		Hedge:          f.Hedge,
 		HedgeAfter:     f.HedgeAfter,
-		Store:          st,
 	}
 	if f.TLSCA != "" {
 		tc, err := TLSConfigFromCA(f.TLSCA)

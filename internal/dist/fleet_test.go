@@ -301,7 +301,6 @@ func TestTLSWorker(t *testing.T) {
 
 func TestLoadAwarePick(t *testing.T) {
 	p := &pool{
-		loadThreshold:   defaultLoadThreshold,
 		clock:           chaos.System(),
 		breakerCooldown: time.Hour, // an opened breaker stays open for the test
 		logf:            t.Logf,
@@ -322,14 +321,14 @@ func TestLoadAwarePick(t *testing.T) {
 	}
 
 	// Preferred worker within threshold of the median: affinity holds.
-	ws[0].setLoad(defaultLoadThreshold) // median 0 + threshold, not above it
+	ws[0].setLoad(loadThreshold) // median 0 + threshold, not above it
 	if got := p.pick(0, 0); got != ws[0] {
 		t.Fatalf("pick at-threshold = %s, want preferred w0 (affinity keeps the memo warm)", got.addr)
 	}
 
 	// Hot shard: preferred queue depth exceeds median+threshold, the
 	// least loaded worker takes the run.
-	ws[0].setLoad(defaultLoadThreshold + 7)
+	ws[0].setLoad(loadThreshold + 7)
 	ws[2].setLoad(1)
 	if got := p.pick(0, 0); got != ws[1] {
 		t.Fatalf("overloaded pick = %s, want least-loaded w1", got.addr)
@@ -362,7 +361,7 @@ func TestMemoBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.memoLen(); got != 3 {
+	if got := srv.memo.Len(); got != 3 {
 		t.Fatalf("memo holds %d entries after %d distinct runs, want cap 3", got, runs)
 	}
 	if got := srv.sims.Load(); got != runs {
@@ -383,8 +382,38 @@ func TestMemoBounded(t *testing.T) {
 	if got := srv.sims.Load(); got != runs+1 {
 		t.Fatalf("evicted key served from a memo that should have shrunk: sims %d, want %d", got, runs+1)
 	}
-	if got := srv.memoLen(); got != 3 {
+	if got := srv.memo.Len(); got != 3 {
 		t.Fatalf("memo grew past its cap: %d", got)
+	}
+}
+
+// TestSimulationPanicReachesDuplicates: a request whose simulation
+// panics (an impossible remote config) fails with an error instead of
+// downing the worker, and every concurrent and later duplicate gets
+// that error from the memo without simulating again.
+func TestSimulationPanicReachesDuplicates(t *testing.T) {
+	srv := NewServer(ServerOptions{Parallel: 2})
+	cfg := testConfig()
+	cfg.Width = 0
+	req := experiments.Request{Bench: "gzip", Config: cfg, Budget: 1000}
+	errs := make([]error, 5)
+	var wg sync.WaitGroup
+	for i := range errs[:4] {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = srv.execute(req)
+		}(i)
+	}
+	wg.Wait()
+	_, errs[4] = srv.execute(req)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "simulation panic") {
+			t.Fatalf("request %d: err %v, want the simulation panic as an error", i, err)
+		}
+	}
+	if n := srv.sims.Load(); n != 1 {
+		t.Fatalf("simulated %d times for one key, want 1", n)
 	}
 }
 

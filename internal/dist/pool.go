@@ -42,9 +42,10 @@ func (w *worker) loadNow() int64 {
 	return w.load
 }
 
-// defaultLoadThreshold is how far above the fleet-median queue depth a
-// shard's preferred worker may run before dispatch sheds away from it.
-const defaultLoadThreshold = 4
+// loadThreshold is how far above the fleet-median queue depth a shard's
+// preferred worker may run before dispatch sheds away from it to the
+// least-loaded healthy worker.
+const loadThreshold = 4
 
 // poolConfig carries the coordinator options the pool needs.
 type poolConfig struct {
@@ -55,7 +56,6 @@ type poolConfig struct {
 	tls              *tls.Config // client TLS for https:// workers
 	transport        http.RoundTripper
 	clock            chaos.Clock
-	loadThreshold    int64 // <= 0 means defaultLoadThreshold
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	logf             func(format string, args ...any)
@@ -73,7 +73,6 @@ type pool struct {
 	probeHC          *http.Client // short-timeout client for health probes
 	clock            chaos.Clock
 	logf             func(format string, args ...any)
-	loadThreshold    int64
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
@@ -90,10 +89,6 @@ type pool struct {
 // coordinator knows immediately whether anyone is reachable), and
 // starts the periodic health checker.
 func newPool(cfg poolConfig) *pool {
-	thr := cfg.loadThreshold
-	if thr <= 0 {
-		thr = defaultLoadThreshold
-	}
 	if cfg.clock == nil {
 		cfg.clock = chaos.System()
 	}
@@ -102,7 +97,6 @@ func newPool(cfg poolConfig) *pool {
 		probeHC:          probeClient(cfg.probeTimeout, cfg.tls, cfg.transport),
 		clock:            cfg.clock,
 		logf:             cfg.logf,
-		loadThreshold:    thr,
 		breakerThreshold: cfg.breakerThreshold,
 		breakerCooldown:  cfg.breakerCooldown,
 		interval:         cfg.interval,
@@ -312,7 +306,7 @@ func (p *pool) pick(sh uint32, attempt int) *worker {
 		loads[i] = w.loadNow()
 	}
 	pref := preferred.loadNow()
-	if pref <= median(loads)+p.loadThreshold {
+	if pref <= median(loads)+loadThreshold {
 		preferred.br.allowDispatch(now)
 		return preferred
 	}

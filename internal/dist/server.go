@@ -1,19 +1,18 @@
 package dist
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"halfprice/internal/experiments"
 	"halfprice/internal/progress"
+	"halfprice/internal/store"
 	"halfprice/internal/uarch"
 )
 
@@ -50,8 +49,8 @@ type ServerOptions struct {
 
 // Server executes simulation requests for remote coordinators. It is the
 // sweepd daemon's engine; Handler exposes it over HTTP. Results are
-// memoised with singleflight semantics, mirroring the in-process
-// Runner: concurrent or repeated requests for the same simulation run it
+// memoised in a store.Memo, the singleflight the in-process Runner uses:
+// concurrent or repeated requests for the same simulation run it
 // once — the worker-side half of fleet-wide deduplication (the
 // coordinator's shard affinity is the other half). The memo is bounded:
 // completed entries beyond MemoCap are evicted oldest-first, so a
@@ -59,7 +58,6 @@ type ServerOptions struct {
 // not every result it ever computed.
 type Server struct {
 	sem      chan struct{}
-	memoCap  int
 	token    string
 	preRun   func(req experiments.Request)
 	logf     func(format string, args ...any)
@@ -68,16 +66,7 @@ type Server struct {
 	done     atomic.Uint64
 	sims     atomic.Uint64
 
-	mu   sync.Mutex
-	memo map[string]*memoEntry
-	lru  *list.List // completed memo keys, oldest at the front
-}
-
-// memoEntry is one singleflight slot: done closes once st/err are valid.
-type memoEntry struct {
-	done chan struct{}
-	st   *uarch.Stats
-	err  error
+	memo *store.Memo[string, *uarch.Stats]
 }
 
 // NewServer returns a worker server.
@@ -86,22 +75,20 @@ func NewServer(opts ServerOptions) *Server {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	cap := opts.MemoCap
-	if cap <= 0 {
-		cap = defaultMemoCap
+	memoCap := opts.MemoCap
+	if memoCap <= 0 {
+		memoCap = defaultMemoCap
 	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Server{
-		sem:     make(chan struct{}, par),
-		memoCap: cap,
-		token:   opts.Token,
-		preRun:  opts.PreRun,
-		logf:    logf,
-		memo:    make(map[string]*memoEntry),
-		lru:     list.New(),
+		sem:    make(chan struct{}, par),
+		token:  opts.Token,
+		preRun: opts.PreRun,
+		logf:   logf,
+		memo:   store.NewMemo[string, *uarch.Stats](memoCap),
 	}
 }
 
@@ -271,50 +258,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // deduplicated: the first request for a key simulates, every concurrent
 // or later duplicate joins its result. Panics from impossible remote
 // configurations (uarch.Config validation) surface as errors, not as a
-// downed worker.
-func (s *Server) execute(req experiments.Request) (st *uarch.Stats, err error) {
-	key := req.Key()
-	s.mu.Lock()
-	if e, ok := s.memo[key]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.st, e.err
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	s.memo[key] = e
-	s.mu.Unlock()
-
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("simulation panic: %v", p)
-		}
-		e.st, e.err = st, err
-		close(e.done)
-		s.completed(key)
-	}()
-	s.sims.Add(1)
-	st, err = experiments.Execute(req)
+// downed worker, and the memo hands that error to every duplicate.
+func (s *Server) execute(req experiments.Request) (*uarch.Stats, error) {
+	st, err, _ := s.memo.Do(req.Key(), func() (st *uarch.Stats, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("simulation panic: %v", p)
+			}
+		}()
+		s.sims.Add(1)
+		return experiments.Execute(req)
+	})
 	return st, err
-}
-
-// completed moves a resolved memo entry into the bounded LRU and evicts
-// the oldest completed entries beyond the cap. Only resolved entries
-// are evictable — an in-flight entry is never in the LRU, so
-// singleflight joins always find their computation.
-func (s *Server) completed(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lru.PushBack(key)
-	for s.lru.Len() > s.memoCap {
-		oldest := s.lru.Front()
-		s.lru.Remove(oldest)
-		delete(s.memo, oldest.Value.(string))
-	}
-}
-
-// memoLen reports the memo's current size (for the eviction tests).
-func (s *Server) memoLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.memo)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"halfprice/internal/sample"
+	"halfprice/internal/store"
 	"halfprice/internal/trace"
 	"halfprice/internal/uarch"
 	"halfprice/internal/vm"
@@ -37,12 +38,12 @@ type Request struct {
 	// distinct key — they never alias full runs in the result store.
 	Sample *sample.Spec `json:"sample,omitempty"`
 
-	// memo is set on the sampled requests a Runner dispatches:
-	// executeSampled takes the window plan from the Runner's memo, so the
-	// configurations of a sweep that read the same plan build it once. encoding/json
-	// drops unexported fields, so keys and the wire format ignore it and
-	// a remote worker plans for itself.
-	memo *memo
+	// plans is set on the requests a Runner dispatches: executeSampled
+	// takes the window plan from the Runner's plan memo, so the
+	// configurations of a sweep that read the same plan build it once.
+	// encoding/json drops unexported fields, so keys and the wire format
+	// ignore it and a remote worker plans for itself.
+	plans *store.Memo[planKey, *windowPlan]
 }
 
 // Label is the short human-readable run descriptor used in progress
@@ -93,8 +94,9 @@ func newStream(req Request) (trace.Stream, error) {
 
 // executeSampled runs the sampled-simulation path: a fast functional
 // pass profiles the stream into interval signatures, phase detection
-// picks representative windows (both once per plan when a Runner's memo
-// shares the plan; see memo.plan), and uarch.RunSampled simulates only
+// picks representative windows (both once per plan when the request
+// carries a Runner's plan memo; a remote worker or a direct Execute
+// plans for itself), and uarch.RunSampled simulates only
 // those windows in detail, extrapolating whole-run Stats. Streams too
 // short to sample fall back to the full simulation (the returned Stats
 // then carries a nil Sampled marker, which is how callers tell).
@@ -110,7 +112,7 @@ func executeSampled(req Request) (*uarch.Stats, error) {
 	if req.Config.MaxInsts != 0 {
 		return nil, fmt.Errorf("sampled request: Config.MaxInsts must be zero (Budget bounds the stream), got %d", req.Config.MaxInsts)
 	}
-	plan, err := req.memo.plan(req)
+	plan, err, _ := req.plans.Do(newPlanKey(req), func() (*windowPlan, error) { return buildPlan(req) })
 	if err != nil {
 		return nil, err
 	}
@@ -161,39 +163,26 @@ func buildPlan(req Request) (*windowPlan, error) {
 
 // planKey keys a window plan by everything ProfileForSampling and
 // sample.BuildPlan read: the stream (benchmark, workload kind, budget),
-// the sample spec, and the memory and branch-predictor configs. Machines
-// that differ only in the pipeline, such as the 4- and 8-wide cores and
-// every half-price scheme, share one plan.
-func planKey(req Request) runKey {
-	return runKey{
-		bench:   req.Bench,
-		cfg:     uarch.Config{Mem: req.Config.Mem, Bpred: req.Config.Bpred},
-		sample:  *req.Sample,
-		plan:    true,
-		budget:  req.Budget,
-		kernels: req.UseKernels,
-	}
+// the sample spec, and the memory and branch-predictor configs (cfg
+// holds only Mem and Bpred). Machines that differ only in the pipeline,
+// such as the 4- and 8-wide cores and every half-price scheme, share one
+// plan.
+type planKey struct {
+	bench   string
+	kernels bool
+	budget  uint64
+	sample  sample.Spec
+	cfg     uarch.Config
 }
 
-// plan returns req's window plan. With a memo the first request for a
-// plan builds it and every later one waits for it; without one (a
-// remote worker, a direct Execute) the request builds its own.
-func (m *memo) plan(req Request) (*windowPlan, error) {
-	if m == nil {
-		return buildPlan(req)
+func newPlanKey(req Request) planKey {
+	return planKey{
+		bench:   req.Bench,
+		kernels: req.UseKernels,
+		budget:  req.Budget,
+		sample:  *req.Sample,
+		cfg:     uarch.Config{Mem: req.Config.Mem, Bpred: req.Config.Bpred},
 	}
-	e, leader := m.entry(planKey(req))
-	if leader {
-		func() {
-			defer func() {
-				e.panicv = recover()
-				close(e.done)
-			}()
-			e.plan, e.err = buildPlan(req)
-		}()
-	}
-	e.mustJoin()
-	return e.plan, e.err
 }
 
 // Backend is the execution seam of the sweep engine: it turns one

@@ -127,8 +127,8 @@ func (o Options) backend() Backend {
 // Runner executes simulations with memoisation, so experiments that share
 // a configuration (every figure needs the base machine) run it once —
 // including when they ask concurrently: the first request simulates, every
-// later one waits for the same entry (singleflight). In sampled mode the
-// memo also shares each stream's window plan between the configurations
+// later one waits for the same entry (singleflight). In sampled mode a
+// second memo shares each stream's window plan between the configurations
 // that read the same one (see planKey). Methods are safe for concurrent
 // use.
 type Runner struct {
@@ -136,7 +136,8 @@ type Runner struct {
 	backend Backend
 	sem     chan struct{} // bounds simulations in flight
 
-	memo memo
+	runs  *store.Memo[runKey, *uarch.Stats]
+	plans *store.Memo[planKey, *windowPlan]
 
 	sims      atomic.Uint64 // simulations actually executed
 	hits      atomic.Uint64 // requests served from the memo (or by waiting)
@@ -151,54 +152,6 @@ type runKey struct {
 	// distinction in the durable store key.
 	sampled bool
 	sample  sample.Spec
-	// plan marks a window-plan entry (planKey), whose stream also
-	// depends on the budget and the workload kind.
-	plan    bool
-	budget  uint64
-	kernels bool
-}
-
-// memo is the Runner's singleflight map. It holds two kinds of entry: a
-// simulation's Stats, keyed by the run, and a sampled stream's window
-// plan, keyed by planKey.
-type memo struct {
-	mu sync.Mutex
-	m  map[runKey]*inflight
-}
-
-// entry returns key's entry and whether the caller created it. The
-// creator computes the entry, then closes done, panic or not.
-func (m *memo) entry(key runKey) (*inflight, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.m[key]; ok {
-		return e, false
-	}
-	e := &inflight{done: make(chan struct{})}
-	m.m[key] = e
-	return e, true
-}
-
-// inflight is one memo entry: done closes when st (or plan and err) is
-// valid, so duplicate requests block on the leader instead of computing
-// again. If the leader panicked (unknown benchmark, bad kernel), panicv
-// carries the value so waiters re-raise it instead of reading a nil
-// result.
-type inflight struct {
-	done   chan struct{}
-	st     *uarch.Stats
-	plan   *windowPlan
-	err    error
-	panicv any
-}
-
-// mustJoin waits for the entry, re-raising the leader's panic on this
-// goroutine if it had one.
-func (e *inflight) mustJoin() {
-	<-e.done
-	if e.panicv != nil {
-		panic(e.panicv)
-	}
 }
 
 // panicBox carries the first panic raised inside a fan-out's worker
@@ -231,7 +184,8 @@ func NewRunner(opts Options) *Runner {
 		opts:    opts,
 		backend: opts.backend(),
 		sem:     make(chan struct{}, opts.parallel()),
-		memo:    memo{m: make(map[runKey]*inflight)},
+		runs:    store.NewMemo[runKey, *uarch.Stats](0),
+		plans:   store.NewMemo[planKey, *windowPlan](0),
 	}
 }
 
@@ -283,78 +237,55 @@ func (r *Runner) Run(bench string, width int, mutate func(*uarch.Config)) *uarch
 		key.sample = *r.opts.Sample
 	}
 
-	e, leader := r.memo.entry(key)
-	if !leader {
-		e.mustJoin()
+	st, err, joined := r.runs.Do(key, func() (*uarch.Stats, error) {
+		return r.simulate(Request{Bench: bench, Config: cfg, Budget: r.opts.insts() + r.opts.Warmup,
+			UseKernels: r.opts.UseKernels, Sample: r.opts.Sample, plans: r.plans})
+	})
+	mustf(err == nil, "experiments: %v", err)
+	if joined {
 		r.hits.Add(1)
-		return e.st
 	}
+	return st
+}
 
+// simulate runs one memo miss through the durable store and the backend.
+// A result checkpointed by an earlier (possibly killed) sweep is served
+// without queueing for a worker slot; the observer sees the run queued
+// and then cache-hit, so a resumed sweep's progress still accounts for
+// every run. Otherwise the request takes a slot first and the store's
+// advisory lock second, so a sweep's many queued requests lock only the
+// keys it is about to compute and a second sweep sharing the cache
+// directory takes the rest; a loser of that election is served the
+// winner's result.
+func (r *Runner) simulate(req Request) (*uarch.Stats, error) {
 	obs := r.opts.Observer
-	budget := r.opts.insts() + r.opts.Warmup
-	req := Request{Bench: bench, Config: cfg, Budget: budget, UseKernels: r.opts.UseKernels, Sample: r.opts.Sample}
-	if req.Sample != nil {
-		req.memo = &r.memo
-	}
-
-	// Durable-store tier, fast path: a result checkpointed by an
-	// earlier (possibly killed) sweep is served without queueing for a
-	// worker slot. The observer sees the run as queued and immediately
-	// cache-hit, so a resumed sweep's progress still accounts for every
-	// run.
-	if r.opts.Store != nil {
-		if st, ok := r.opts.Store.Get(req.Key()); ok {
-			if obs != nil {
-				obs.RunQueued(bench, req.Label(), budget)
-			}
-			NotifyCached(obs, bench, req.Label(), budget)
-			r.storeHits.Add(1)
-			e.st = st
-			close(e.done)
-			return st
-		}
-	}
-
+	key := req.Key()
 	if obs != nil {
-		obs.RunQueued(bench, req.Label(), budget)
+		obs.RunQueued(req.Bench, req.Label(), req.Budget)
+	}
+	if st, ok := r.opts.Store.Get(key); ok {
+		NotifyCached(obs, req.Bench, req.Label(), req.Budget)
+		r.storeHits.Add(1)
+		return st, nil
 	}
 	r.sem <- struct{}{}
-	func() {
-		// Release the worker slot and publish the entry even if the
-		// simulation panics, so waiters never deadlock on done.
-		defer func() {
-			e.panicv = recover()
-			<-r.sem
-			close(e.done)
-		}()
-		// The backend fires the started/finished observer events: the
-		// local backend around the in-process simulation, the
-		// distributed one when its worker streams them back.
-		if r.opts.Store == nil {
-			st, err := r.backend.Execute(context.Background(), req, obs)
-			mustf(err == nil, "experiments: %v", err)
-			e.st = st
-			r.sims.Add(1)
-			return
-		}
-		// Durable-store tier, slow path: the store's advisory lock
-		// elects one computing process per request across concurrent
-		// sweeps sharing the cache directory; everyone else is served
-		// the winner's checkpointed result.
-		st, cached, err := r.opts.Store.GetOrCompute(req.Key(), func() (*uarch.Stats, error) {
-			return r.backend.Execute(context.Background(), req, obs)
-		})
-		mustf(err == nil, "experiments: %v", err)
-		e.st = st
-		if cached {
-			NotifyCached(obs, bench, req.Label(), budget)
-			r.storeHits.Add(1)
-		} else {
-			r.sims.Add(1)
-		}
-	}()
-	e.mustJoin()
-	return e.st
+	defer func() { <-r.sem }()
+	// The backend fires the started/finished observer events: the local
+	// backend around the in-process simulation, the distributed one when
+	// its worker streams them back.
+	st, cached, err := r.opts.Store.GetOrCompute(key, func() (*uarch.Stats, error) {
+		return r.backend.Execute(context.Background(), req, obs)
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case cached:
+		NotifyCached(obs, req.Bench, req.Label(), req.Budget)
+		r.storeHits.Add(1)
+	default:
+		r.sims.Add(1)
+	}
+	return st, nil
 }
 
 // Base simulates the baseline machine.

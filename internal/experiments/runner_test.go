@@ -163,7 +163,7 @@ func TestRunnerConcurrentExperiments(t *testing.T) {
 // TestPanicPropagatesToWaiters requests an unknown benchmark from
 // several goroutines: the singleflight leader panics, and every waiter
 // must re-raise that panic on its own stack instead of deadlocking on
-// the inflight entry or returning a nil *Stats. In the sampled case the
+// the in-flight entry or returning a nil *Stats. In the sampled case the
 // goroutines ask for 4- and 8-wide runs, which share a plan entry but
 // not a Stats entry, so the plan's error must reach both.
 func TestPanicPropagatesToWaiters(t *testing.T) {

@@ -127,17 +127,6 @@ var planConfigs = []func(*uarch.Config){
 	func(c *uarch.Config) { c.Bpred.BimodalEntries = 64 },
 }
 
-// planEntries counts the window plans in a Runner's memo per benchmark.
-func planEntries(r *Runner) map[string]int {
-	n := map[string]int{}
-	for k := range r.memo.m {
-		if k.plan {
-			n[k.bench]++
-		}
-	}
-	return n
-}
-
 // TestSharedPlanMatchesFreshPlan: a sampled sweep builds each window
 // plan once and shares it between the machines whose memory and
 // predictor configs match, and every shared-plan result equals a direct
@@ -178,11 +167,11 @@ func TestSharedPlanMatchesFreshPlan(t *testing.T) {
 				t.Errorf("-j %d: %s %s with a shared plan differs from a fresh Execute", parallel, req.Bench, req.Label())
 			}
 		}
-		if plans := planEntries(r); !reflect.DeepEqual(plans, map[string]int{"gzip": 3, "mcf": 3}) {
-			t.Errorf("-j %d: plans per benchmark %v, want one per memory and predictor config, 3 each", parallel, plans)
+		if plans := r.plans.Len(); plans != 6 {
+			t.Errorf("-j %d: %d plans, want one per benchmark and memory and predictor config, 6", parallel, plans)
 		}
 		shared := reqs[0]
-		shared.memo = &r.memo
+		shared.plans = r.plans
 		if shared.Key() != reqs[0].Key() {
 			t.Fatalf("the plan memo leaked into the request key: %s", shared.Key())
 		}
@@ -196,8 +185,7 @@ func TestAllSharesOnePlanPerBenchmark(t *testing.T) {
 	spec := sample.DefaultSpec()
 	r := NewRunner(Options{Insts: 10000, Benchmarks: []string{"gzip", "mcf", "crafty", "vpr"}, Parallel: 2, Sample: &spec})
 	r.All()
-	want := map[string]int{"gzip": 1, "mcf": 1, "crafty": 1, "vpr": 1}
-	if plans := planEntries(r); r.Sims() != 92 || !reflect.DeepEqual(plans, want) {
-		t.Fatalf("All ran %d simulations with plans per benchmark %v, want 92 and %v", r.Sims(), plans, want)
+	if plans := r.plans.Len(); r.Sims() != 92 || plans != 4 {
+		t.Fatalf("All ran %d simulations with %d plans, want 92 and 4", r.Sims(), plans)
 	}
 }

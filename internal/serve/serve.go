@@ -291,33 +291,31 @@ func (s *Server) Submit(tenant string, spec SubmitRequest, req experiments.Reque
 	// CDN fast path: identical config already computed (by any tenant,
 	// any process sharing the cache dir) — serve it without admission
 	// or dispatch.
-	if s.opts.Store != nil {
-		if st, ok := s.opts.Store.Get(req.Key()); ok {
-			j := s.newJobLocked(tenant, spec, req)
-			j.state = StateDone
-			j.cached = true
-			j.result = st
-			j.finished = s.opts.Clock.Now()
-			if err := s.journalSubmitLocked(j); err != nil {
-				return nil, err
-			}
-			data, merr := json.Marshal(st)
-			if merr != nil {
-				return nil, fmt.Errorf("serve: encoding cached stats: %w", merr)
-			}
-			if err := s.journal.append(journalRecord{Op: "done", ID: j.ID, Cached: true, Stats: data}); err != nil {
-				return nil, err
-			}
-			s.registerLocked(j)
-			s.done++
-			s.storeHits++
-			j.events.publish(s.eventLocked(j, "queued", "", ""))
-			hit := s.eventLocked(j, "hit", "", "")
-			hit.Source = "cache"
-			j.events.publish(hit)
-			j.events.publish(s.eventLocked(j, "done", StateDone, ""))
-			return j, nil
+	if st, ok := s.opts.Store.Get(req.Key()); ok {
+		j := s.newJobLocked(tenant, spec, req)
+		j.state = StateDone
+		j.cached = true
+		j.result = st
+		j.finished = s.opts.Clock.Now()
+		if err := s.journalSubmitLocked(j); err != nil {
+			return nil, err
 		}
+		data, merr := json.Marshal(st)
+		if merr != nil {
+			return nil, fmt.Errorf("serve: encoding cached stats: %w", merr)
+		}
+		if err := s.journal.append(journalRecord{Op: "done", ID: j.ID, Cached: true, Stats: data}); err != nil {
+			return nil, err
+		}
+		s.registerLocked(j)
+		s.done++
+		s.storeHits++
+		j.events.publish(s.eventLocked(j, "queued", "", ""))
+		hit := s.eventLocked(j, "hit", "", "")
+		hit.Source = "cache"
+		j.events.publish(hit)
+		j.events.publish(s.eventLocked(j, "done", StateDone, ""))
+		return j, nil
 	}
 
 	if err := s.admitLocked(tenant, spec.priority); err != nil {
@@ -547,24 +545,12 @@ func (s *Server) execute(j *Job) {
 		defer cancel()
 	}
 	obs := &jobObserver{s: s, j: j}
-	var (
-		st     *uarch.Stats
-		cached bool
-		err    error
-	)
-	if s.opts.Store != nil {
-		st, cached, err = s.opts.Store.GetOrCompute(j.Request.Key(), func() (*uarch.Stats, error) {
-			s.mu.Lock()
-			s.dispatched++
-			s.mu.Unlock()
-			return s.opts.Backend.Execute(ctx, j.Request, obs)
-		})
-	} else {
+	st, cached, err := s.opts.Store.GetOrCompute(j.Request.Key(), func() (*uarch.Stats, error) {
 		s.mu.Lock()
 		s.dispatched++
 		s.mu.Unlock()
-		st, err = s.opts.Backend.Execute(ctx, j.Request, obs)
-	}
+		return s.opts.Backend.Execute(ctx, j.Request, obs)
+	})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -663,12 +649,6 @@ func (o *jobObserver) RunStartedFrom(source, bench, config string, insts uint64)
 
 func (o *jobObserver) RunFinishedFrom(source, bench, config string, insts uint64) {
 	o.publish("finish", source)
-}
-
-// RunCached marks a store hit observed inside the backend layer (the
-// dist coordinator's own cache tier).
-func (o *jobObserver) RunCached(bench, config string, insts uint64) {
-	o.publish("hit", "cache")
 }
 
 // Cancel cancels a queued job. Running jobs are not interruptible (a

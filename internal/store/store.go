@@ -4,7 +4,8 @@
 // simulator-version fingerprint, so a restarted sweep — local or
 // fleet-backed — resumes from checkpoint instead of recomputing
 // finished simulations, and a code change invalidates stale entries
-// instead of silently serving wrong Stats.
+// instead of silently serving wrong Stats. Memo is the in-process
+// singleflight cache in front of it.
 //
 // Robustness contract:
 //
@@ -164,10 +165,6 @@ func FromFlags(dir string, noCache bool) *Store {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// FingerprintUsed returns the simulator-version fingerprint entries are
-// written and validated under.
-func (s *Store) FingerprintUsed() string { return s.opts.Fingerprint }
-
 // Hits returns the number of Get calls served from disk.
 func (s *Store) Hits() uint64 { return s.hits.Load() }
 
@@ -193,8 +190,11 @@ func (s *Store) objectPath(key string) string {
 
 // Get returns the cached result for key, if a valid entry written under
 // this store's fingerprint exists. Corrupt entries are quarantined and
-// read as misses; Get never fails a caller.
+// read as misses; Get never fails a caller. A nil store holds nothing.
 func (s *Store) Get(key string) (*uarch.Stats, bool) {
+	if s == nil {
+		return nil, false
+	}
 	path := s.objectPath(key)
 	data, err := s.opts.FS.ReadFile(path)
 	if err != nil {
@@ -282,8 +282,12 @@ func (s *Store) Put(key string, st *uarch.Stats) error {
 // directory, and the rest wait for its committed entry. cached reports
 // whether the result came from disk (this process did not simulate).
 // A failed lock or write degrades to computing uncached — the store
-// never fails a sweep.
+// never fails a sweep. A nil store (caching off) just computes.
 func (s *Store) GetOrCompute(key string, compute func() (*uarch.Stats, error)) (st *uarch.Stats, cached bool, err error) {
+	if s == nil {
+		st, err = compute()
+		return st, false, err
+	}
 	if st, ok := s.Get(key); ok {
 		return st, true, nil
 	}

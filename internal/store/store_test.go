@@ -204,7 +204,7 @@ func TestFromFlags(t *testing.T) {
 	if s == nil {
 		t.Fatal("FromFlags with a writable dir must return a store")
 	}
-	if s.FingerprintUsed() == "" {
+	if s.opts.Fingerprint == "" {
 		t.Fatal("store must carry a non-empty fingerprint")
 	}
 }

@@ -5,7 +5,9 @@
 # kill lands while results are mid-checkpoint, so this also exercises
 # the store's crash-safety (atomic writes: no partial entry may survive
 # under a final name) and its dead-holder lock breaking (locks left by
-# the killed process must not stall the resume).
+# the killed process must not stall the resume). Last, a single
+# cmd/halfprice run, cold and then warm, must print what an uncached
+# run prints, the warm one served from the store.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,4 +86,28 @@ if grep -q '"event":"start"' "$tmp/progress2.ndjson"; then
   exit 1
 fi
 
-echo "cache-smoke: ok — resume after SIGKILL byte-identical to the uninterrupted run" >&2
+# The single-run command checkpoints through the same store path: a
+# cold run simulates and stores its result, a warm one is served from
+# disk, and both print exactly what an uncached run prints.
+go build -o "$tmp/halfprice" ./cmd/halfprice
+echo "cache-smoke: halfprice single run, cold then warm" >&2
+"$tmp/halfprice" -insts "$insts" -quiet -no-cache > "$tmp/hp-clean.txt"
+for run in cold warm; do
+  "$tmp/halfprice" -insts "$insts" -quiet -cache-dir "$tmp/hp" \
+    -progress-json "$tmp/hp-$run.ndjson" > "$tmp/hp-$run.txt"
+  if ! cmp "$tmp/hp-clean.txt" "$tmp/hp-$run.txt"; then
+    echo "cache-smoke: FAIL — $run halfprice output differs from the -no-cache run" >&2
+    exit 1
+  fi
+done
+if ! grep -q '"event":"start"' "$tmp/hp-cold.ndjson" || ! grep -q '"event":"finish"' "$tmp/hp-cold.ndjson"; then
+  echo "cache-smoke: FAIL — the cold halfprice run reported no start and finish" >&2
+  exit 1
+fi
+if ! grep '"event":"hit"' "$tmp/hp-warm.ndjson" | grep -q '"source":"cache"' ||
+  grep -q '"event":"start"' "$tmp/hp-warm.ndjson"; then
+  echo "cache-smoke: FAIL — the warm halfprice run was not served from the store" >&2
+  exit 1
+fi
+
+echo "cache-smoke: ok — resume after SIGKILL and a warm single run byte-identical to uncached runs" >&2
