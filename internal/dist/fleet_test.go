@@ -192,6 +192,52 @@ func TestRegistryChurn(t *testing.T) {
 	}
 }
 
+// TestRegistrySyncNeverAppliesStaleListing pins that overlapping
+// registry reconciliations apply listings in the order they read them:
+// a listing read before a worker registered must never land after a
+// newer one that added it, which would drop the worker again. Four
+// goroutines reconcile in a loop while workers register one at a time;
+// a reconciliation that starts after a registration must leave the new
+// worker in the pool.
+func TestRegistrySyncNeverAppliesStaleListing(t *testing.T) {
+	reg := NewRegistry(filepath.Join(t.TempDir(), "workers"))
+	p := &pool{registry: reg, logf: func(string, ...any) {}}
+
+	stop := make(chan struct{})
+	var syncers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		syncers.Add(1)
+		go func() {
+			defer syncers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					p.syncRegistry()
+				}
+			}
+		}()
+	}
+	defer syncers.Wait()
+	defer close(stop)
+
+	for i := 0; i < 500; i++ {
+		addr := fmt.Sprintf("w%d:1", i)
+		if err := reg.Register(addr); err != nil {
+			t.Fatal(err)
+		}
+		p.syncRegistry()
+		found := false
+		for _, w := range p.snapshot() {
+			found = found || w.addr == addr
+		}
+		if !found {
+			t.Fatalf("%s missing from the pool after a sync that read the registry after it registered", addr)
+		}
+	}
+}
+
 // --- auth + TLS ---
 
 func TestAuthRejectsUnauthorized(t *testing.T) {

@@ -76,6 +76,12 @@ type pool struct {
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
+	// syncMu serialises registry reconciliations from the read of the
+	// listing to its apply, so a listing read before a worker registered
+	// is never applied after a newer one that added it. It is separate
+	// from wmu so that picks never wait on a registry read.
+	syncMu sync.Mutex
+
 	wmu     sync.Mutex
 	workers []*worker // current membership, static first
 
@@ -161,6 +167,8 @@ func (p *pool) syncRegistry() {
 	if p.registry == nil {
 		return
 	}
+	p.syncMu.Lock()
+	defer p.syncMu.Unlock()
 	addrs, err := p.registry.Addrs()
 	if err != nil {
 		p.logf("dist: %v; keeping current fleet", err)
