@@ -21,10 +21,10 @@
 //	                 leave again on drain
 //	-advertise a     address announced in the registry (default -addr;
 //	                 an https:// prefix is added when serving TLS)
-//	-chaos-seed n    inject a deterministic pre-run delay before each
-//	                 simulation, seeded by n (0 = off; chaos testing —
-//	                 see internal/chaos and scripts/chaos-smoke.sh)
-//	-chaos-max-delay d  upper bound for -chaos-seed delays (default 50ms)
+//	-chaos-seed n    inject a deterministic pre-run delay of up to 50ms
+//	                 before each simulation, seeded by n (0 = off; chaos
+//	                 testing — see internal/chaos and
+//	                 scripts/chaos-smoke.sh)
 //	-quiet           suppress the per-request log on stderr
 //
 // Simulations run through exactly the same in-process path as a local
@@ -55,6 +55,9 @@ import (
 	"halfprice/internal/experiments"
 )
 
+// chaosMaxDelay bounds the -chaos-seed pre-run delays.
+const chaosMaxDelay = 50 * time.Millisecond
+
 func main() {
 	addr := flag.String("addr", "localhost:9771", "listen address (host:port)")
 	par := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations")
@@ -64,8 +67,7 @@ func main() {
 	tlsKey := flag.String("tls-key", "", "PEM private key file")
 	register := flag.String("register", "", "registry file to self-announce in on start and leave on drain")
 	advertise := flag.String("advertise", "", "address announced in the registry (default -addr; https:// is prefixed when serving TLS)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "inject a deterministic pre-run delay before each simulation, seeded by this value (0 = off; chaos testing)")
-	chaosMaxDelay := flag.Duration("chaos-max-delay", 50*time.Millisecond, "upper bound for -chaos-seed pre-run delays")
+	chaosSeed := flag.Int64("chaos-seed", 0, "inject a deterministic pre-run delay of up to 50ms before each simulation, seeded by this value (0 = off; chaos testing)")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	flag.Parse()
 
@@ -81,8 +83,8 @@ func main() {
 	// -chaos-seed: a deterministic pre-run delay per request, keyed on
 	// (seed, request key, per-key call index) with chaos.Roll — the n-th
 	// run of a given simulation sleeps the same fraction of
-	// -chaos-max-delay on every fleet with the same seed, regardless of
-	// how requests interleave across goroutines.
+	// chaosMaxDelay on every fleet with the same seed, regardless of how
+	// requests interleave across goroutines.
 	var preRun func(req experiments.Request)
 	if *chaosSeed != 0 {
 		var mu sync.Mutex
@@ -94,9 +96,9 @@ func main() {
 			calls[key] = n + 1
 			mu.Unlock()
 			frac := chaos.Roll(*chaosSeed, "prerun-delay", key, n)
-			time.Sleep(time.Duration(frac * float64(*chaosMaxDelay)))
+			time.Sleep(time.Duration(frac * float64(chaosMaxDelay)))
 		}
-		logf("sweepd: chaos pre-run delays on (seed %d, max %s)", *chaosSeed, *chaosMaxDelay)
+		logf("sweepd: chaos pre-run delays on (seed %d, max %s)", *chaosSeed, chaosMaxDelay)
 	}
 
 	server := dist.NewServer(dist.ServerOptions{Parallel: *par, MemoCap: *memoCap, Token: *token, PreRun: preRun, Logf: logf})

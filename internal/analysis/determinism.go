@@ -43,12 +43,12 @@ var determinismScope = []string{
 // serves goes through the same experiments.Backend seam as a local
 // sweep — the service schedules work, it never computes results. The
 // chaos harness (internal/chaos) is the fault-injection layer: its
-// System clock and injected delays are real time by definition, yet its
-// fault *decisions* are already deterministic by construction — every
-// verdict is a stateless hash of (seed, op, target, call index), never
-// a wall-clock or global-rand read (Plan.ScheduleDigest pins this), so
-// the analyzer's rules would only flag the clock plumbing the harness
-// exists to provide. The exemption takes precedence over the scope
+// injected delays and partition windows are real time by definition,
+// yet its fault *decisions* are already deterministic by construction —
+// every verdict is a stateless hash of (seed, op, target, call index),
+// never a wall-clock or global-rand read (Plan.ScheduleDigest pins
+// this), so the analyzer's rules would only flag the sleeps the harness
+// exists to inject. The exemption takes precedence over the scope
 // list, so the boundary is explicit in code rather than implied by
 // omission, and re-listing such a package in the scope later cannot
 // silently outlaw its concurrency. internal/uarch, internal/trace and

@@ -1,9 +1,8 @@
 // Package chaos is the repo's deterministic fault-injection layer: a
 // seeded Plan compiles into injectable seams — a faulty
-// http.RoundTripper for the dist coordinator, a faulty FS for the
-// result store and the serve journal, and a controllable Clock — so a
-// whole-stack fault storm (serve → dist → store) is reproducible from
-// a single integer seed.
+// http.RoundTripper for the dist coordinator and a faulty FS for the
+// result store and the serve journal — so a whole-stack fault storm
+// (serve → dist → store) is reproducible from a single integer seed.
 //
 // Determinism contract. Every fault decision is a pure function of
 // (plan seed, seam, operation, target, per-target call index): the
@@ -43,13 +42,9 @@ type Plan struct {
 	HTTP HTTPFaults
 	// FS configures the faulty filesystem seams.
 	FS FSFaults
-	// ClockSkew offsets the injector's Clock from its base clock —
-	// a worker whose idea of "now" is minutes off must not corrupt
-	// results or break exactly-once accounting.
-	ClockSkew time.Duration
 	// Partitions are scheduled network partitions: while one is active
-	// (relative to Compile time on the injector's clock), every request
-	// to its target host fails as if the network dropped it.
+	// (relative to Compile time), every request to its target host
+	// fails as if the network dropped it.
 	Partitions []Partition
 }
 
@@ -59,8 +54,8 @@ type HTTPFaults struct {
 	// DropProb fails the request before it is sent, as a refused or
 	// reset connection would.
 	DropProb float64
-	// DelayProb sleeps the request on the injector's clock before
-	// dispatch, for a deterministic fraction of MaxDelay.
+	// DelayProb sleeps the request before dispatch, for a
+	// deterministic fraction of MaxDelay.
 	DelayProb float64
 	// MaxDelay bounds injected delays (default 100ms when DelayProb>0).
 	MaxDelay time.Duration
@@ -85,8 +80,8 @@ type FSFaults struct {
 	ShortWriteProb float64
 	// ReadErrProb fails a ReadFile with a synthesized I/O error.
 	ReadErrProb float64
-	// SlowSyncProb delays a File.Sync by SyncDelay on the injector's
-	// clock — the "slow fsync" disk.
+	// SlowSyncProb delays a File.Sync by SyncDelay — the "slow fsync"
+	// disk.
 	SlowSyncProb float64
 	// SyncDelay is the injected fsync latency (default 50ms when
 	// SlowSyncProb > 0).
@@ -120,7 +115,6 @@ func (f Fault) String() string {
 // records every fault it injects. Safe for concurrent use.
 type Injector struct {
 	plan  Plan
-	clock Clock
 	start time.Time
 
 	mu       sync.Mutex
@@ -128,10 +122,8 @@ type Injector struct {
 	log      []Fault
 }
 
-// Compile validates the plan and binds it to a clock (nil = the system
-// clock). Injected delays and partition windows run on that clock, so
-// a Fake clock makes time-dependent faults instantaneous in tests.
-func (p Plan) Compile(clock Clock) (*Injector, error) {
+// Compile validates the plan and starts its partition windows' clock.
+func (p Plan) Compile() (*Injector, error) {
 	if p.Seed == 0 {
 		return nil, fmt.Errorf("chaos: plan needs an explicit non-zero seed")
 	}
@@ -154,34 +146,20 @@ func (p Plan) Compile(clock Clock) (*Injector, error) {
 	if p.FS.SyncDelay <= 0 {
 		p.FS.SyncDelay = 50 * time.Millisecond
 	}
-	if clock == nil {
-		clock = System()
-	}
 	return &Injector{
 		plan:     p,
-		clock:    clock,
-		start:    clock.Now(),
+		start:    time.Now(),
 		counters: map[string]uint64{},
 	}, nil
 }
 
 // MustCompile is Compile for plans known valid at authoring time.
-func (p Plan) MustCompile(clock Clock) *Injector {
-	in, err := p.Compile(clock)
+func (p Plan) MustCompile() *Injector {
+	in, err := p.Compile()
 	if err != nil {
 		panic(err)
 	}
 	return in
-}
-
-// Clock returns the injector's clock with the plan's skew applied —
-// hand this to the component under test so its idea of "now" drifts
-// from the rest of the stack.
-func (in *Injector) Clock() Clock {
-	if in.plan.ClockSkew == 0 {
-		return in.clock
-	}
-	return Skewed(in.clock, in.plan.ClockSkew)
 }
 
 // Faults returns a copy of the injected-fault log, in injection order.
@@ -209,11 +187,6 @@ func (in *Injector) record(f Fault) {
 	in.mu.Lock()
 	in.log = append(in.log, f)
 	in.mu.Unlock()
-}
-
-// sinceStart is elapsed injector time, for partition windows.
-func (in *Injector) sinceStart() time.Duration {
-	return in.clock.Now().Sub(in.start)
 }
 
 // Roll maps (seed, op, target, call) to a uniform float64 in [0, 1)

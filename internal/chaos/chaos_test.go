@@ -13,13 +13,13 @@ import (
 )
 
 func TestCompileRejectsZeroSeed(t *testing.T) {
-	if _, err := (Plan{}).Compile(nil); err == nil {
+	if _, err := (Plan{}).Compile(); err == nil {
 		t.Fatal("Compile accepted a zero seed")
 	}
-	if _, err := (Plan{Seed: 1, HTTP: HTTPFaults{DropProb: 1.5}}).Compile(nil); err == nil {
+	if _, err := (Plan{Seed: 1, HTTP: HTTPFaults{DropProb: 1.5}}).Compile(); err == nil {
 		t.Fatal("Compile accepted probability > 1")
 	}
-	if _, err := (Plan{Seed: 1}).Compile(nil); err != nil {
+	if _, err := (Plan{Seed: 1}).Compile(); err != nil {
 		t.Fatalf("Compile rejected a valid plan: %v", err)
 	}
 }
@@ -59,7 +59,7 @@ func TestInjectorMatchesSchedule(t *testing.T) {
 		}
 	}
 
-	in := p.MustCompile(nil)
+	in := p.MustCompile()
 	fsys := in.FS(OS{})
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestTransportFaults(t *testing.T) {
 	host := strings.TrimPrefix(srv.URL, "http://")
 
 	t.Run("drop", func(t *testing.T) {
-		in := Plan{Seed: 3, HTTP: HTTPFaults{DropProb: 1}}.MustCompile(nil)
+		in := Plan{Seed: 3, HTTP: HTTPFaults{DropProb: 1}}.MustCompile()
 		hc := &http.Client{Transport: in.Transport(nil)}
 		if _, err := hc.Get(srv.URL); err == nil {
 			t.Fatal("DropProb=1 request succeeded")
@@ -109,7 +109,7 @@ func TestTransportFaults(t *testing.T) {
 		}
 	})
 	t.Run("5xx", func(t *testing.T) {
-		in := Plan{Seed: 3, HTTP: HTTPFaults{Error5xxProb: 1}}.MustCompile(nil)
+		in := Plan{Seed: 3, HTTP: HTTPFaults{Error5xxProb: 1}}.MustCompile()
 		hc := &http.Client{Transport: in.Transport(nil)}
 		resp, err := hc.Get(srv.URL)
 		if err != nil {
@@ -121,7 +121,7 @@ func TestTransportFaults(t *testing.T) {
 		}
 	})
 	t.Run("cut", func(t *testing.T) {
-		in := Plan{Seed: 3, HTTP: HTTPFaults{CutProb: 1}}.MustCompile(nil)
+		in := Plan{Seed: 3, HTTP: HTTPFaults{CutProb: 1}}.MustCompile()
 		hc := &http.Client{Transport: in.Transport(nil)}
 		resp, err := hc.Get(srv.URL)
 		if err != nil {
@@ -133,26 +133,36 @@ func TestTransportFaults(t *testing.T) {
 		}
 	})
 	t.Run("partition", func(t *testing.T) {
-		clk := NewFake(time.Unix(0, 0))
-		in := Plan{Seed: 3, Partitions: []Partition{{Target: host, After: time.Second, For: time.Second}}}.MustCompile(clk)
-		hc := &http.Client{Transport: in.Transport(nil)}
-		if _, err := hc.Get(srv.URL); err != nil {
-			t.Fatalf("request before the partition window failed: %v", err)
-		}
-		clk.Advance(1500 * time.Millisecond)
-		if _, err := hc.Get(srv.URL); err == nil || !strings.Contains(err.Error(), "partitioned") {
-			t.Fatalf("request inside the partition window: err = %v", err)
-		}
-		clk.Advance(time.Second)
-		if _, err := hc.Get(srv.URL); err != nil {
-			t.Fatalf("request after the partition window failed: %v", err)
+		// One plan per place a request can fall relative to the window.
+		for _, tc := range []struct {
+			where       string
+			after, span time.Duration
+			partitioned bool
+		}{
+			{"before", time.Hour, time.Hour, false},
+			{"inside", 0, time.Hour, true},
+			{"after", 0, time.Nanosecond, false},
+		} {
+			in := Plan{Seed: 3, Partitions: []Partition{{Target: host, After: tc.after, For: tc.span}}}.MustCompile()
+			hc := &http.Client{Transport: in.Transport(nil)}
+			resp, err := hc.Get(srv.URL)
+			if err == nil {
+				resp.Body.Close()
+			}
+			if tc.partitioned {
+				if err == nil || !strings.Contains(err.Error(), "partitioned") {
+					t.Fatalf("request inside the partition window: err = %v", err)
+				}
+			} else if err != nil {
+				t.Fatalf("request %s the partition window failed: %v", tc.where, err)
+			}
 		}
 	})
 }
 
 func TestFSShortWriteAndReadErr(t *testing.T) {
 	dir := t.TempDir()
-	in := Plan{Seed: 5, FS: FSFaults{ShortWriteProb: 1}}.MustCompile(nil)
+	in := Plan{Seed: 5, FS: FSFaults{ShortWriteProb: 1}}.MustCompile()
 	fsys := in.FS(nil)
 	f, err := fsys.OpenFile(filepath.Join(dir, "f"), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -164,7 +174,7 @@ func TestFSShortWriteAndReadErr(t *testing.T) {
 		t.Fatalf("short write: n=%d err=%v, want 5, ErrShortWrite", n, werr)
 	}
 
-	rin := Plan{Seed: 5, FS: FSFaults{ReadErrProb: 1}}.MustCompile(nil)
+	rin := Plan{Seed: 5, FS: FSFaults{ReadErrProb: 1}}.MustCompile()
 	if _, err := rin.FS(nil).ReadFile(filepath.Join(dir, "f")); err == nil {
 		t.Fatal("ReadErrProb=1 read succeeded")
 	}
@@ -172,7 +182,7 @@ func TestFSShortWriteAndReadErr(t *testing.T) {
 
 func TestFSScopeFilter(t *testing.T) {
 	dir := t.TempDir()
-	in := Plan{Seed: 9, FS: FSFaults{WriteErrProb: 1, PathContains: "journal"}}.MustCompile(nil)
+	in := Plan{Seed: 9, FS: FSFaults{WriteErrProb: 1, PathContains: "journal"}}.MustCompile()
 	fsys := in.FS(nil)
 	f, err := fsys.OpenFile(filepath.Join(dir, "other"), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -192,55 +202,24 @@ func TestFSScopeFilter(t *testing.T) {
 	}
 }
 
-func TestSlowSyncUsesClock(t *testing.T) {
+func TestSlowSync(t *testing.T) {
 	dir := t.TempDir()
-	clk := NewFake(time.Unix(0, 0))
-	in := Plan{Seed: 11, FS: FSFaults{SlowSyncProb: 1, SyncDelay: time.Minute}}.MustCompile(clk)
+	const delay = 30 * time.Millisecond
+	in := Plan{Seed: 11, FS: FSFaults{SlowSyncProb: 1, SyncDelay: delay}}.MustCompile()
 	fsys := in.FS(nil)
 	f, err := fsys.OpenFile(filepath.Join(dir, "f"), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	done := make(chan error, 1)
-	go func() { done <- f.Sync() }()
-	select {
-	case <-done:
-		t.Fatal("slow sync returned before the clock advanced")
-	case <-time.After(20 * time.Millisecond):
+	t0 := time.Now()
+	if err := f.Sync(); err != nil {
+		t.Fatalf("slow sync: %v", err)
 	}
-	clk.Advance(time.Minute)
-	if err := <-done; err != nil {
-		t.Fatalf("sync after advance: %v", err)
+	if el := time.Since(t0); el < delay {
+		t.Fatalf("slow sync took %s, want at least the injected %s", el, delay)
 	}
-}
-
-func TestSkewedClock(t *testing.T) {
-	clk := NewFake(time.Unix(1000, 0))
-	in := Plan{Seed: 13, ClockSkew: -5 * time.Minute}.MustCompile(clk)
-	if got := in.Clock().Now(); !got.Equal(time.Unix(1000, 0).Add(-5 * time.Minute)) {
-		t.Fatalf("skewed Now = %v", got)
-	}
-}
-
-func TestFakeClockAfter(t *testing.T) {
-	clk := NewFake(time.Unix(0, 0))
-	ch := clk.After(time.Second)
-	select {
-	case <-ch:
-		t.Fatal("After fired before Advance")
-	default:
-	}
-	clk.Advance(999 * time.Millisecond)
-	select {
-	case <-ch:
-		t.Fatal("After fired early")
-	default:
-	}
-	clk.Advance(time.Millisecond)
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("After never fired")
+	if fs := in.Faults(); len(fs) != 1 || fs[0].Op != "slow-sync" {
+		t.Fatalf("fault log = %v, want one slow-sync", fs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 )
 
 // File is the subset of *os.File the store and the serve journal use.
@@ -144,7 +145,7 @@ func (w *faultyFile) Sync() error {
 	if pr := in.plan.FS.SlowSyncProb; pr > 0 && w.fs.inScope(name) {
 		if n, r := in.next("fs", "slow-sync", name); r < pr {
 			in.record(Fault{Seam: "fs", Op: "slow-sync", Target: name, Call: n})
-			in.clock.Sleep(in.plan.FS.SyncDelay)
+			time.Sleep(in.plan.FS.SyncDelay)
 		}
 	}
 	return w.f.Sync()

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -43,19 +42,17 @@ func stormPlan() chaos.Plan {
 }
 
 // stormCoordinator builds a coordinator whose every probe and dispatch
-// crosses the injector's faulty transport, with seeded backoff jitter so
-// the retry schedule replays with the plan.
+// crosses the injector's faulty transport. Its breakers tolerate three
+// failures and re-admit after 10ms, so a storm's faults do not send
+// most runs to the local fallback.
 func stormCoordinator(t *testing.T, in *chaos.Injector, addrs []string) *dist.Coordinator {
 	t.Helper()
 	return dist.NewCoordinator(addrs, dist.Options{
 		Timeout:          10 * time.Second,
-		Attempts:         6,
-		Backoff:          time.Millisecond,
 		HealthInterval:   time.Hour, // no background churn: fault indices stay per-request
 		BreakerThreshold: 3,
 		BreakerCooldown:  10 * time.Millisecond,
 		Transport:        in.Transport(nil),
-		Jitter:           rand.New(rand.NewSource(1107)),
 		Logf:             t.Logf,
 	})
 }
@@ -72,12 +69,13 @@ func (o *stormObserver) RunFinished(string, string, uint64) { o.finished.Add(1) 
 // the storm and checks each result against local execution: no fault
 // mode may corrupt a result or break exactly-once observer events.
 func TestChaosStormSingleRequests(t *testing.T) {
-	wa := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
+	sa, sb := dist.NewServer(dist.ServerOptions{}), dist.NewServer(dist.ServerOptions{})
+	wa := httptest.NewServer(sa.Handler())
 	defer wa.Close()
-	wb := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
+	wb := httptest.NewServer(sb.Handler())
 	defer wb.Close()
 
-	in := stormPlan().MustCompile(nil)
+	in := stormPlan().MustCompile()
 	coord := stormCoordinator(t, in, []string{wa.URL, wb.URL})
 	defer coord.Close()
 
@@ -109,7 +107,10 @@ func TestChaosStormSingleRequests(t *testing.T) {
 	if len(in.Faults()) == 0 {
 		t.Fatal("storm injected no faults; the scenario is vacuous")
 	}
-	t.Logf("storm injected %d faults across %d requests", len(in.Faults()), n)
+	// Faults can send runs to the local fallback, so the fleet's share
+	// is logged, not asserted.
+	t.Logf("storm injected %d faults across %d requests; the fleet served %d runs",
+		len(in.Faults()), n, sa.Health().Done+sb.Health().Done)
 }
 
 // TestChaosStormSweep is the sweep-level storm: the dist package's
@@ -134,12 +135,13 @@ func TestChaosStormSweep(t *testing.T) {
 		return data, r
 	}
 
-	wa := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
+	sa, sb := dist.NewServer(dist.ServerOptions{}), dist.NewServer(dist.ServerOptions{})
+	wa := httptest.NewServer(sa.Handler())
 	defer wa.Close()
-	wb := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
+	wb := httptest.NewServer(sb.Handler())
 	defer wb.Close()
 
-	in := stormPlan().MustCompile(nil)
+	in := stormPlan().MustCompile()
 	coord := stormCoordinator(t, in, []string{wa.URL, wb.URL})
 	defer coord.Close()
 
@@ -160,17 +162,16 @@ func TestChaosStormSweep(t *testing.T) {
 	if len(in.Faults()) == 0 {
 		t.Fatal("storm injected no faults; the scenario is vacuous")
 	}
-	t.Logf("storm sweep: %d sims, %d injected faults, schedule digest %s",
-		sims, len(in.Faults()), stormPlan().ScheduleDigest(8, "fleet"))
+	t.Logf("storm sweep: %d sims, %d injected faults, the fleet served %d runs, schedule digest %s",
+		sims, len(in.Faults()), sa.Health().Done+sb.Health().Done, stormPlan().ScheduleDigest(8, "fleet"))
 }
 
-// TestChaosStormPartitionSkewSlowDisk covers the remaining fault
-// classes in one scenario: worker A partitioned at the start, the
-// coordinator's clock skewed 45 seconds off, and the result store on a
-// disk with write errors, short writes, read errors and slow fsync.
-// Results must still match local execution, and store failures must
-// degrade to warnings, never corrupt or fail a run.
-func TestChaosStormPartitionSkewSlowDisk(t *testing.T) {
+// TestChaosStormPartitionSlowDisk covers the remaining fault classes
+// in one scenario: worker A partitioned at the start, and the result
+// store on a disk with write errors, short writes, read errors and slow
+// fsync. Results must still match local execution, and store failures
+// must degrade to warnings, never corrupt or fail a run.
+func TestChaosStormPartitionSlowDisk(t *testing.T) {
 	wa := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
 	defer wa.Close()
 	wb := httptest.NewServer(dist.NewServer(dist.ServerOptions{}).Handler())
@@ -185,12 +186,11 @@ func TestChaosStormPartitionSkewSlowDisk(t *testing.T) {
 			SlowSyncProb:   0.50,
 			SyncDelay:      2 * time.Millisecond,
 		},
-		ClockSkew: 45 * time.Second,
 		Partitions: []chaos.Partition{
 			{Target: strings.TrimPrefix(wa.URL, "http://"), After: 0, For: 300 * time.Millisecond},
 		},
 	}
-	in := plan.MustCompile(nil)
+	in := plan.MustCompile()
 	st, err := store.Open(t.TempDir(), store.Options{
 		Fingerprint: "storm",
 		FS:          in.FS(chaos.OS{}),
@@ -200,18 +200,7 @@ func TestChaosStormPartitionSkewSlowDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := dist.NewCoordinator([]string{wa.URL, wb.URL}, dist.Options{
-		Timeout:          10 * time.Second,
-		Attempts:         6,
-		Backoff:          time.Millisecond,
-		HealthInterval:   time.Hour,
-		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Millisecond,
-		Transport:        in.Transport(nil),
-		Clock:            in.Clock(), // skewed 45s off real time
-		Jitter:           rand.New(rand.NewSource(2203)),
-		Logf:             t.Logf,
-	})
+	coord := stormCoordinator(t, in, []string{wa.URL, wb.URL})
 	defer coord.Close()
 
 	// Two passes over the same requests, each wrapped in the store the
@@ -226,7 +215,7 @@ func TestChaosStormPartitionSkewSlowDisk(t *testing.T) {
 				return coord.Execute(context.Background(), req, nil)
 			})
 			if err != nil {
-				t.Fatalf("pass %d %s: Execute under partition/skew/slow disk: %v", pass, bench, err)
+				t.Fatalf("pass %d %s: Execute under partition/slow disk: %v", pass, bench, err)
 			}
 			want, err := experiments.Execute(req)
 			if err != nil {

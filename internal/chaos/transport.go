@@ -33,7 +33,7 @@ func (t *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if pt.Target != host {
 			continue
 		}
-		if el := in.sinceStart(); el >= pt.After && el < pt.After+pt.For {
+		if el := time.Since(in.start); el >= pt.After && el < pt.After+pt.For {
 			in.record(Fault{Seam: "http", Op: "partition", Target: host})
 			return nil, fmt.Errorf("chaos: %s partitioned (window %s+%s)", host, pt.After, pt.For)
 		}
@@ -50,7 +50,7 @@ func (t *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			// The delay length is itself deterministic: a second roll on
 			// the same coordinates scales MaxDelay.
 			frac := roll(in.plan.Seed, "delay-len", host, n)
-			in.clock.Sleep(time.Duration(frac * float64(in.plan.HTTP.MaxDelay)))
+			time.Sleep(time.Duration(frac * float64(in.plan.HTTP.MaxDelay)))
 		}
 	}
 	if p := in.plan.HTTP.Error5xxProb; p > 0 {

@@ -39,8 +39,7 @@ func (s breakerState) String() string {
 
 // breaker is the circuit breaker guarding one worker. All methods take
 // the current time explicitly so the state machine is a pure function
-// of its inputs — tests drive it with a fake clock, production with
-// the coordinator's.
+// of its inputs — tests pass chosen instants, production time.Now.
 type breaker struct {
 	mu        sync.Mutex
 	threshold int           // consecutive failures that open the breaker

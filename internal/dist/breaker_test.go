@@ -3,20 +3,18 @@ package dist
 import (
 	"testing"
 	"time"
-
-	"halfprice/internal/chaos"
 )
 
 func TestBreakerStateMachine(t *testing.T) {
-	clk := chaos.NewFake(time.Unix(1000, 0))
+	now := time.Unix(1000, 0)
 	br := newBreaker(2, 10*time.Second)
 
 	// Birth: unknown — probeable but not dispatchable until a probe
 	// verdict arrives.
-	if br.dispatchable(clk.Now()) {
+	if br.dispatchable(now) {
 		t.Fatal("unknown worker must not be dispatchable before its first probe")
 	}
-	if !br.allowProbe(clk.Now()) {
+	if !br.allowProbe(now) {
 		t.Fatal("unknown worker must be probeable")
 	}
 
@@ -27,34 +25,34 @@ func TestBreakerStateMachine(t *testing.T) {
 	if br.success() {
 		t.Fatal("repeated success on a closed breaker is not a change")
 	}
-	if !br.dispatchable(clk.Now()) || !br.allowDispatch(clk.Now()) {
+	if !br.dispatchable(now) || !br.allowDispatch(now) {
 		t.Fatal("closed breaker must admit dispatch")
 	}
 
 	// One failure under threshold 2: still closed.
-	if br.failure(clk.Now()) {
+	if br.failure(now) {
 		t.Fatal("failure under threshold must not open the breaker")
 	}
-	if !br.dispatchable(clk.Now()) {
+	if !br.dispatchable(now) {
 		t.Fatal("breaker should stay closed below the failure threshold")
 	}
 	// Second consecutive failure opens it.
-	if !br.failure(clk.Now()) {
+	if !br.failure(now) {
 		t.Fatal("threshold-th failure must open the breaker")
 	}
-	if br.dispatchable(clk.Now()) || br.allowDispatch(clk.Now()) {
+	if br.dispatchable(now) || br.allowDispatch(now) {
 		t.Fatal("open breaker must refuse dispatch")
 	}
-	if br.allowProbe(clk.Now()) {
+	if br.allowProbe(now) {
 		t.Fatal("open breaker must suppress probes during cooldown")
 	}
 
 	// Cooldown expiry admits a half-open trial.
-	clk.Advance(10*time.Second + time.Millisecond)
-	if !br.dispatchable(clk.Now()) {
+	now = now.Add(10*time.Second + time.Millisecond)
+	if !br.dispatchable(now) {
 		t.Fatal("expired cooldown must admit a half-open trial")
 	}
-	if !br.allowDispatch(clk.Now()) {
+	if !br.allowDispatch(now) {
 		t.Fatal("allowDispatch must commit the half-open transition")
 	}
 	if got := br.snapshot(); got != brHalfOpen {
@@ -62,15 +60,15 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// A failed trial re-opens with a doubled cooldown.
-	if !br.failure(clk.Now()) {
+	if !br.failure(now) {
 		t.Fatal("failed half-open trial must re-open the breaker")
 	}
-	clk.Advance(10*time.Second + time.Millisecond)
-	if br.dispatchable(clk.Now()) {
+	now = now.Add(10*time.Second + time.Millisecond)
+	if br.dispatchable(now) {
 		t.Fatal("re-opened breaker must hold for the doubled cooldown")
 	}
-	clk.Advance(10 * time.Second)
-	if !br.allowDispatch(clk.Now()) {
+	now = now.Add(10 * time.Second)
+	if !br.allowDispatch(now) {
 		t.Fatal("doubled cooldown expired; trial must be admitted")
 	}
 
@@ -87,12 +85,12 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerCooldownCapped(t *testing.T) {
-	clk := chaos.NewFake(time.Unix(0, 0))
+	now := time.Unix(0, 0)
 	br := newBreaker(1, time.Minute)
 	for i := 0; i < 10; i++ {
-		br.failure(clk.Now())
-		clk.Advance(maxBreakerCooldown + time.Second)
-		if !br.allowDispatch(clk.Now()) {
+		br.failure(now)
+		now = now.Add(maxBreakerCooldown + time.Second)
+		if !br.allowDispatch(now) {
 			t.Fatalf("trip %d: cooldown exceeded the %s cap", i, maxBreakerCooldown)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"os"
 	"strconv"
@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"halfprice/internal/chaos"
 	"halfprice/internal/experiments"
 	"halfprice/internal/uarch"
 )
@@ -28,14 +27,6 @@ type Options struct {
 	// Timeout bounds one remote request end to end — queueing on the
 	// worker, simulation, and streaming the result back (default 5m).
 	Timeout time.Duration
-	// Attempts is how many workers a request is dispatched to before the
-	// coordinator degrades to local execution (default 3; each failure
-	// re-dispatches to the next dispatchable worker in ring order).
-	Attempts int
-	// Backoff is the base delay between dispatch attempts; attempt n
-	// waits in [Backoff<<n / 2, Backoff<<n), jittered to keep a fleet of
-	// retrying requests from thundering in lockstep (default 100ms).
-	Backoff time.Duration
 	// HealthInterval is the period of the background /healthz sweep that
 	// feeds worker circuit breakers and of the registry re-read that
 	// lets workers join and leave the running sweep (default 5s).
@@ -64,30 +55,18 @@ type Options struct {
 	// doubles on every consecutive re-open (default: HealthInterval).
 	BreakerCooldown time.Duration
 	// Hedge enables hedged dispatch: once a request has been in flight
-	// longer than the fleet's p95 latency estimate (or HedgeAfter, when
-	// set), a second attempt launches on the least-loaded other worker;
-	// the first result wins and the loser is canceled. The worker-side
-	// runKey singleflight dedups the work, and the coordinator's
-	// forwarder keeps observer events exactly-once, but the raw
-	// dispatch count is no longer one-per-run — so hedging is opt-in
-	// (hpserve turns it on; batch sweep equivalence tests leave it off).
+	// longer than the fleet's p95 latency estimate, a second attempt
+	// launches on the least-loaded other worker; the first result wins
+	// and the loser is canceled. The worker-side runKey singleflight
+	// dedups the work, and the coordinator's forwarder keeps observer
+	// events exactly-once, but the raw dispatch count is no longer
+	// one-per-run — so hedging is opt-in (hpserve turns it on; batch
+	// sweep equivalence tests leave it off).
 	Hedge bool
-	// HedgeAfter, when > 0, pins the hedge delay instead of the
-	// adaptive p95 estimate.
-	HedgeAfter time.Duration
 	// Transport, when non-nil, replaces the coordinator's underlying
 	// HTTP transport for runs and probes — the chaos harness's
 	// fault-injection seam (chaos.Injector.Transport).
 	Transport http.RoundTripper
-	// Clock is the coordinator's time source for backoff, breaker
-	// cooldowns and hedge timers (default: the system clock). The chaos
-	// harness injects skewed or fake clocks here.
-	Clock chaos.Clock
-	// Jitter, when non-nil, seeds the backoff jitter — chaos runs pass
-	// a seeded rand so retry schedules replay byte-identically. Default:
-	// a clock-seeded rand (jitter decorrelates fleets; it never affects
-	// results).
-	Jitter *rand.Rand
 	// Logf receives eviction, retry and fallback warnings (default:
 	// stderr).
 	Logf func(format string, args ...any)
@@ -97,20 +76,11 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Minute
 	}
-	if o.Attempts <= 0 {
-		o.Attempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 5 * time.Second
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = o.HealthInterval
-	}
-	if o.Clock == nil {
-		o.Clock = chaos.System()
 	}
 	if o.Logf == nil {
 		o.Logf = func(format string, args ...any) {
@@ -135,19 +105,15 @@ const DeadlineHeader = "X-Halfprice-Deadline-Ms"
 // failing the sweep. Safe for concurrent use; Close releases the health
 // checker.
 type Coordinator struct {
-	opts  Options
-	pool  *pool
-	hc    *http.Client
-	clock chaos.Clock
-	lat   latencyTracker
+	opts Options
+	pool *pool
+	hc   *http.Client
+	lat  latencyTracker
 
 	hedges    atomic.Uint64 // hedge attempts launched
 	hedgeWins atomic.Uint64 // hedges that produced the winning result
 
 	fallbackOnce sync.Once
-
-	jmu    sync.Mutex
-	jitter *rand.Rand
 }
 
 // sourcedObserver is the optional observer extension (implemented by
@@ -180,10 +146,6 @@ func NewCoordinator(addrs []string, opts Options) *Coordinator {
 	case opts.TLS != nil:
 		hc.Transport = &http.Transport{TLSClientConfig: opts.TLS}
 	}
-	jitter := opts.Jitter
-	if jitter == nil {
-		jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
 	return &Coordinator{
 		opts: opts,
 		pool: newPool(poolConfig{
@@ -193,14 +155,11 @@ func NewCoordinator(addrs []string, opts Options) *Coordinator {
 			probeTimeout:     probeTimeout,
 			tls:              opts.TLS,
 			transport:        opts.Transport,
-			clock:            opts.Clock,
 			breakerThreshold: opts.BreakerThreshold,
 			breakerCooldown:  opts.BreakerCooldown,
 			logf:             opts.Logf,
 		}),
-		hc:     hc,
-		clock:  opts.Clock,
-		jitter: jitter,
+		hc: hc,
 	}
 }
 
@@ -223,7 +182,7 @@ func (c *Coordinator) HedgeStats() (launched, won uint64) {
 // is cheap enough to call on every admission decision. hpserve's
 // admission control and /v1/stats autoscaling signals read it.
 func (c *Coordinator) FleetLoad() (workers int, running int64) {
-	now := c.clock.Now()
+	now := time.Now()
 	for _, w := range c.pool.snapshot() {
 		if !w.dispatchableAt(now) {
 			continue
@@ -246,7 +205,7 @@ func (c *Coordinator) Execute(ctx context.Context, req experiments.Request, obs 
 	}
 	fw := &forwarder{obs: obs, bench: req.Bench, label: req.Label(), insts: req.Budget}
 	sh := shard(req.Key())
-	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dist: deadline spent after %d attempts: %w", attempt, err)
 		}
@@ -255,7 +214,7 @@ func (c *Coordinator) Execute(ctx context.Context, req experiments.Request, obs 
 			break
 		}
 		if attempt > 0 {
-			if err := c.sleepBackoff(ctx, attempt-1); err != nil {
+			if err := sleepBackoff(ctx, attempt-1); err != nil {
 				return nil, err
 			}
 		}
@@ -269,7 +228,7 @@ func (c *Coordinator) Execute(ctx context.Context, req experiments.Request, obs 
 			return nil, fmt.Errorf("dist: deadline spent mid-dispatch: %w", ctx.Err())
 		}
 		c.opts.Logf("dist: worker %s: %s %s: %v; re-dispatching", w.addr, req.Bench, fw.label, err)
-		if w.br.failure(c.clock.Now()) {
+		if w.br.failure(time.Now()) {
 			c.opts.Logf("dist: worker %s breaker opened after failed request", w.addr)
 		}
 	}
@@ -323,7 +282,7 @@ func (c *Coordinator) runMaybeHedged(ctx context.Context, primary *worker, req e
 
 	inFlight := 1
 	var hcancel context.CancelFunc
-	timer := c.clock.After(delay)
+	timer := time.After(delay)
 	var firstErr error
 	for inFlight > 0 {
 		select {
@@ -349,7 +308,7 @@ func (c *Coordinator) runMaybeHedged(ctx context.Context, primary *worker, req e
 			}
 			if r.ctx.Err() == nil && r.w != primary {
 				c.opts.Logf("dist: hedged attempt on %s failed: %v", r.w.addr, r.err)
-				if r.w.br.failure(c.clock.Now()) {
+				if r.w.br.failure(time.Now()) {
 					c.opts.Logf("dist: worker %s breaker opened after failed hedge", r.w.addr)
 				}
 			}
@@ -382,18 +341,15 @@ func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 	if !c.opts.Hedge {
 		return 0, false
 	}
-	if c.opts.HedgeAfter > 0 {
-		return c.opts.HedgeAfter, true
-	}
 	return c.lat.estimate()
 }
 
 // timedRunOn is runOn plus latency accounting for the hedge trigger.
 func (c *Coordinator) timedRunOn(ctx context.Context, w *worker, req experiments.Request, fw *forwarder) (*uarch.Stats, error) {
-	t0 := c.clock.Now()
+	t0 := time.Now()
 	st, err := c.runOn(ctx, w, req, fw)
 	if err == nil {
-		c.lat.observe(c.clock.Now().Sub(t0))
+		c.lat.observe(time.Since(t0))
 	}
 	return st, err
 }
@@ -473,16 +429,24 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, req experiments.Requ
 	return nil, fmt.Errorf("stream ended before a result (worker died mid-run)")
 }
 
-// maxBackoff caps one retry delay. The cap doubles as the overflow
-// guard: Backoff<<n wraps (even negative) for the large n a generous
-// Attempts setting produces, so the exponent is never applied past the
+// Retry policy: a request is dispatched to at most attempts workers
+// before the coordinator degrades to local execution, each failure
+// re-dispatching to the next dispatchable worker in ring order. Retry n
+// waits in [backoff<<n / 2, backoff<<n), jittered to keep a fleet of
+// retrying requests from thundering in lockstep. maxBackoff caps one
+// delay and doubles as the overflow guard: backoff<<n wraps (even
+// negative) for large n, so the exponent is never applied past the
 // point where the delay already saturates.
-const maxBackoff = 30 * time.Second
+const (
+	attempts   = 3
+	backoff    = 100 * time.Millisecond
+	maxBackoff = 30 * time.Second
+)
 
 // backoffDelay returns the clamped base delay for retry n:
-// min(Backoff<<n, maxBackoff), computed without overflow.
-func (c *Coordinator) backoffDelay(n int) time.Duration {
-	d := c.opts.Backoff
+// min(backoff<<n, maxBackoff), computed without overflow.
+func backoffDelay(n int) time.Duration {
+	d := backoff
 	for i := 0; i < n; i++ {
 		if d >= maxBackoff {
 			break
@@ -498,14 +462,12 @@ func (c *Coordinator) backoffDelay(n int) time.Duration {
 // sleepBackoff waits backoffDelay(n) jittered into [d/2, d):
 // exponential growth spaces retries out, jitter decorrelates a fleet
 // of them. It returns early — with the context's error — when ctx is
-// canceled, so an abandoned sweep never sits out a 30s backoff.
-func (c *Coordinator) sleepBackoff(ctx context.Context, n int) error {
-	d := c.backoffDelay(n)
-	c.jmu.Lock()
-	j := time.Duration(c.jitter.Int63n(int64(d/2) + 1))
-	c.jmu.Unlock()
+// canceled, so an abandoned sweep never sits out a backoff.
+func sleepBackoff(ctx context.Context, n int) error {
+	d := backoffDelay(n)
+	j := time.Duration(rand.Int64N(int64(d/2) + 1))
 	select {
-	case <-c.clock.After(d/2 + j):
+	case <-time.After(d/2 + j):
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("dist: canceled during backoff: %w", ctx.Err())

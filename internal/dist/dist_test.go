@@ -36,7 +36,6 @@ func quietOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
 		Timeout:        30 * time.Second,
-		Backoff:        time.Millisecond,
 		HealthInterval: time.Hour, // probes only at construction; tests drive eviction explicitly
 		Logf:           t.Logf,
 	}

@@ -20,7 +20,6 @@ type Flags struct {
 	TLSCA          string
 	HealthInterval time.Duration
 	Hedge          bool
-	HedgeAfter     time.Duration
 }
 
 // AddFlags registers the distributed-execution flags on the default
@@ -34,7 +33,6 @@ func AddFlags() *Flags {
 	flag.StringVar(&f.TLSCA, "tls-ca", "", "PEM file with CA certificate(s) to trust for https:// workers (e.g. the fleet's self-signed cert)")
 	flag.DurationVar(&f.HealthInterval, "health-interval", 5*time.Second, "fleet health-probe and registry re-read period")
 	flag.BoolVar(&f.Hedge, "hedge", false, "hedge slow requests: once a dispatch outlives the fleet's p95 latency estimate, race a second attempt on the least-loaded other worker (first result wins)")
-	flag.DurationVar(&f.HedgeAfter, "hedge-after", 0, "fixed hedge delay overriding the adaptive p95 estimate (0 = adaptive; needs -hedge)")
 	return f
 }
 
@@ -58,7 +56,6 @@ func (f *Flags) Coordinator() (*Coordinator, func(), error) {
 		Token:          f.Token,
 		HealthInterval: f.HealthInterval,
 		Hedge:          f.Hedge,
-		HedgeAfter:     f.HedgeAfter,
 	}
 	if f.TLSCA != "" {
 		tc, err := TLSConfigFromCA(f.TLSCA)

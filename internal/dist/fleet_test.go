@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"halfprice/internal/chaos"
 	"halfprice/internal/experiments"
 	"halfprice/internal/trace"
 )
@@ -347,7 +346,6 @@ func TestTLSWorker(t *testing.T) {
 
 func TestLoadAwarePick(t *testing.T) {
 	p := &pool{
-		clock:           chaos.System(),
 		breakerCooldown: time.Hour, // an opened breaker stays open for the test
 		logf:            t.Logf,
 	}
@@ -385,7 +383,7 @@ func TestLoadAwarePick(t *testing.T) {
 	}
 
 	// Load shedding never elects a worker behind an open breaker.
-	ws[1].br.failure(p.clock.Now())
+	ws[1].br.failure(time.Now())
 	if got := p.pick(0, 0); got != ws[2] {
 		t.Fatalf("pick with w1 down = %s, want w2", got.addr)
 	}
@@ -571,23 +569,18 @@ func TestTerminalEventCounters(t *testing.T) {
 	}
 }
 
-// TestBackoffClamped guards sleepBackoff against shift overflow: with a
-// large configured Attempts the exponent must saturate at maxBackoff,
-// never wrap negative or to zero.
+// TestBackoffClamped guards sleepBackoff against shift overflow: for a
+// large retry index the exponent must saturate at maxBackoff, never
+// wrap negative or to zero.
 func TestBackoffClamped(t *testing.T) {
-	opts := quietOptions(t)
-	opts.Backoff = 100 * time.Millisecond
-	c := NewCoordinator(nil, opts)
-	defer c.Close()
-
-	if got := c.backoffDelay(0); got != 100*time.Millisecond {
+	if got := backoffDelay(0); got != 100*time.Millisecond {
 		t.Fatalf("backoffDelay(0) = %v, want 100ms", got)
 	}
-	if got := c.backoffDelay(3); got != 800*time.Millisecond {
+	if got := backoffDelay(3); got != 800*time.Millisecond {
 		t.Fatalf("backoffDelay(3) = %v, want 800ms", got)
 	}
 	for _, n := range []int{20, 63, 64, 1 << 20} {
-		if got := c.backoffDelay(n); got != maxBackoff {
+		if got := backoffDelay(n); got != maxBackoff {
 			t.Fatalf("backoffDelay(%d) = %v, want clamp at %v", n, got, maxBackoff)
 		}
 	}

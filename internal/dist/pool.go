@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"halfprice/internal/chaos"
 )
 
 // worker is one sweepd instance in the coordinator's fleet. Its
@@ -55,7 +53,6 @@ type poolConfig struct {
 	probeTimeout     time.Duration
 	tls              *tls.Config // client TLS for https:// workers
 	transport        http.RoundTripper
-	clock            chaos.Clock
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	logf             func(format string, args ...any)
@@ -71,7 +68,6 @@ type pool struct {
 	static           []string // addresses pinned for the pool's lifetime
 	registry         *Registry
 	probeHC          *http.Client // short-timeout client for health probes
-	clock            chaos.Clock
 	logf             func(format string, args ...any)
 	breakerThreshold int
 	breakerCooldown  time.Duration
@@ -95,13 +91,9 @@ type pool struct {
 // coordinator knows immediately whether anyone is reachable), and
 // starts the periodic health checker.
 func newPool(cfg poolConfig) *pool {
-	if cfg.clock == nil {
-		cfg.clock = chaos.System()
-	}
 	p := &pool{
 		registry:         cfg.registry,
 		probeHC:          probeClient(cfg.probeTimeout, cfg.tls, cfg.transport),
-		clock:            cfg.clock,
 		logf:             cfg.logf,
 		breakerThreshold: cfg.breakerThreshold,
 		breakerCooldown:  cfg.breakerCooldown,
@@ -218,7 +210,7 @@ func (p *pool) snapshot() []*worker {
 func (p *pool) probeAll() {
 	var wg sync.WaitGroup
 	for _, w := range p.snapshot() {
-		if !w.br.allowProbe(p.clock.Now()) {
+		if !w.br.allowProbe(time.Now()) {
 			continue
 		}
 		wg.Add(1)
@@ -249,7 +241,7 @@ func (p *pool) probe(w *worker) {
 		if w.br.success() {
 			p.logf("dist: worker %s is up; breaker closed", w.addr)
 		}
-	} else if w.br.failure(p.clock.Now()) {
+	} else if w.br.failure(time.Now()) {
 		p.logf("dist: worker %s is unreachable or draining; breaker open (evicted)", w.addr)
 	}
 }
@@ -284,7 +276,7 @@ func (p *pool) loop() {
 // committed (an expired open breaker transitions to its half-open
 // trial).
 func (p *pool) pick(sh uint32, attempt int) *worker {
-	now := p.clock.Now()
+	now := time.Now()
 	ws := p.snapshot()
 	n := len(ws)
 	if n == 0 {
@@ -334,7 +326,7 @@ func (p *pool) pick(sh uint32, attempt int) *worker {
 // leastLoadedExcept returns the least-loaded dispatchable worker other
 // than skip — the hedged-dispatch peer. Nil when no such worker exists.
 func (p *pool) leastLoadedExcept(skip *worker) *worker {
-	now := p.clock.Now()
+	now := time.Now()
 	var best *worker
 	var bestLoad int64
 	for _, w := range p.snapshot() {
@@ -359,7 +351,7 @@ func median(loads []int64) int64 {
 
 // healthyCount reports how many workers are currently in dispatch.
 func (p *pool) healthyCount() int {
-	now := p.clock.Now()
+	now := time.Now()
 	n := 0
 	for _, w := range p.snapshot() {
 		if w.dispatchableAt(now) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
 	"halfprice/internal/store"
 )
@@ -21,14 +20,13 @@ func (o *cachedTestObserver) RunCached(bench, config string, insts uint64) {
 	o.cached++
 }
 
-// openStore opens a result store in a temp dir with a fixed fingerprint
-// and fast lock polling, failing the test on error.
+// openStore opens a result store in a temp dir with a fixed
+// fingerprint, failing the test on error.
 func openStore(t *testing.T, dir, fingerprint string) *store.Store {
 	t.Helper()
 	s, err := store.Open(dir, store.Options{
 		Fingerprint: fingerprint,
 		Logf:        t.Logf,
-		LockPoll:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,8 +141,6 @@ func TestDrainRedispatch(t *testing.T) {
 	defer h2.Close()
 	coord := dist.NewCoordinator([]string{h1.URL, h2.URL}, dist.Options{
 		Timeout:        30 * time.Second,
-		Attempts:       4,
-		Backoff:        5 * time.Millisecond,
 		HealthInterval: 25 * time.Millisecond,
 	})
 	defer coord.Close()

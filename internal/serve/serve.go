@@ -80,10 +80,6 @@ type Options struct {
 	// FS is the filesystem the journal writes through; nil means the
 	// real one. The chaos harness injects disk faults here.
 	FS chaos.FS
-	// Clock supplies time for job stamps, deadlines and retry
-	// estimates; nil means the system clock. The chaos harness injects
-	// skew here.
-	Clock chaos.Clock
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -109,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = chaos.OS{}
-	}
-	if o.Clock == nil {
-		o.Clock = chaos.System()
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -167,7 +160,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		journal: jl,
-		start:   opts.Clock.Now(),
+		start:   time.Now(),
 		jobs:    map[string]*Job{},
 		wake:    make(chan struct{}, opts.Workers),
 		stop:    make(chan struct{}),
@@ -296,7 +289,7 @@ func (s *Server) Submit(tenant string, spec SubmitRequest, req experiments.Reque
 		j.state = StateDone
 		j.cached = true
 		j.result = st
-		j.finished = s.opts.Clock.Now()
+		j.finished = time.Now()
 		if err := s.journalSubmitLocked(j); err != nil {
 			return nil, err
 		}
@@ -342,7 +335,7 @@ func (s *Server) newJobLocked(tenant string, spec SubmitRequest, req experiments
 		Spec:      spec,
 		Request:   req,
 		state:     StateQueued,
-		submitted: s.opts.Clock.Now(),
+		submitted: time.Now(),
 		events:    newEventLog(),
 	}
 	s.seq++
@@ -460,7 +453,7 @@ func (s *Server) eventLocked(j *Job, kind, state, errMsg string) Event {
 	e.Bench = j.Request.Bench
 	e.Config = j.Request.Label()
 	e.Insts = j.Request.Budget
-	e.T = s.opts.Clock.Now().Sub(j.submitted).Seconds()
+	e.T = time.Since(j.submitted).Seconds()
 	e.Queued = s.queue.depth()
 	e.Running = s.running
 	e.Done = s.done + s.failed + s.canceled
@@ -531,7 +524,7 @@ func (s *Server) dequeue() *Job {
 // the backend call through its context (the dist coordinator decrements
 // it further across retries and forwards it to workers).
 func (s *Server) execute(j *Job) {
-	started := s.opts.Clock.Now()
+	started := time.Now()
 	ctx := context.Background()
 	if j.Spec.DeadlineSec > 0 {
 		budget := time.Duration(j.Spec.DeadlineSec * float64(time.Second))
@@ -555,7 +548,7 @@ func (s *Server) execute(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	j.finished = s.opts.Clock.Now()
+	j.finished = time.Now()
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 			err = fmt.Errorf("deadline exceeded (%.1fs budget): %w", j.Spec.DeadlineSec, err)
@@ -607,7 +600,7 @@ func (s *Server) failDeadline(j *Job, msg string) {
 	s.failed++
 	j.state = StateFailed
 	j.errMsg = msg
-	j.finished = s.opts.Clock.Now()
+	j.finished = time.Now()
 	if jerr := s.journal.append(journalRecord{Op: "fail", ID: j.ID, Error: j.errMsg}); jerr != nil {
 		s.opts.Logf("serve: %v", jerr)
 	}
@@ -669,7 +662,7 @@ func (s *Server) Cancel(tenant, id string) error {
 		return ErrNotCancelable
 	}
 	j.state = StateCanceled
-	j.finished = s.opts.Clock.Now()
+	j.finished = time.Now()
 	s.canceled++
 	if err := s.journal.append(journalRecord{Op: "cancel", ID: j.ID}); err != nil {
 		s.opts.Logf("serve: %v", err)
@@ -730,7 +723,7 @@ func (s *Server) Stats() StatsView {
 		MaxQueue:         s.opts.MaxQueue,
 		TenantQuota:      s.opts.TenantQuota,
 		Workers:          s.opts.Workers,
-		UptimeSec:        s.opts.Clock.Now().Sub(s.start).Seconds(),
+		UptimeSec:        time.Since(s.start).Seconds(),
 	}
 	byClass := map[string]int{}
 	for p := 0; p < numPriorities; p++ {

@@ -168,18 +168,10 @@ func TestTornTempFilesHarmless(t *testing.T) {
 
 // TestDeadHolderLockBroken plants a lock owned by a provably dead
 // same-host pid: GetOrCompute must break it immediately (the age
-// backstop is set far beyond the test timeout to prove the pid path).
+// backstop, lockStale, lies far beyond the test timeout, which proves
+// the pid path).
 func TestDeadHolderLockBroken(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{
-		Fingerprint: "fp",
-		Logf:        t.Logf,
-		LockPoll:    time.Millisecond,
-		LockStale:   time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, t.TempDir(), "fp")
 	host, _ := os.Hostname()
 	deadPid := spawnDeadPid(t)
 	body, _ := json.Marshal(lockInfo{PID: deadPid, Host: host})
@@ -208,24 +200,15 @@ func TestDeadHolderLockBroken(t *testing.T) {
 }
 
 // TestAgedForeignLockBroken plants an unattributable lock (another
-// host) older than LockStale; the age backstop must break it.
+// host) older than lockStale; the age backstop must break it.
 func TestAgedForeignLockBroken(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{
-		Fingerprint: "fp",
-		Logf:        t.Logf,
-		LockPoll:    time.Millisecond,
-		LockStale:   50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open(t, t.TempDir(), "fp")
 	body, _ := json.Marshal(lockInfo{PID: 1, Host: "some-other-host"})
 	path := s.lockPath("k")
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-time.Minute)
+	old := time.Now().Add(-2 * lockStale)
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// lockStale is the age past which a foreign advisory lock is broken
+// even when its holder cannot be proven dead — the backstop for
+// unparseable locks and holders on other hosts. Same-host locks whose
+// holder process has exited are broken immediately, regardless of age.
+const lockStale = 10 * time.Minute
+
+// lockPoll is the wait between checks while another process holds a
+// key's compute lock.
+const lockPoll = 50 * time.Millisecond
+
 // lockInfo is the advisory lock file's body: enough to decide whether
 // the holder is still alive (same host) and to attribute the lock in a
 // post-mortem.
@@ -27,7 +37,7 @@ func (s *Store) lockPath(key string) string {
 // GetOrCompute's re-check once the lock drops). Locks whose holder
 // process has exited — a SIGKILLed sweep — are broken immediately;
 // locks that cannot be attributed to a live process are broken after
-// Options.LockStale. The returned release removes the lock file.
+// lockStale. The returned release removes the lock file.
 func (s *Store) lock(key string) (release func(), err error) {
 	path := s.lockPath(key)
 	for {
@@ -47,13 +57,13 @@ func (s *Store) lock(key string) (release func(), err error) {
 			s.opts.FS.Remove(path)
 			continue
 		}
-		time.Sleep(s.opts.LockPoll)
+		time.Sleep(lockPoll)
 	}
 }
 
 // lockIsStale reports whether the lock at path was abandoned: its
 // holder process is provably dead (same host), or the lock is older
-// than Options.LockStale and its holder cannot be proven alive. A
+// than lockStale and its holder cannot be proven alive. A
 // vanished lock file counts as stale so the caller retries the
 // exclusive create immediately.
 func (s *Store) lockIsStale(path string) bool {
@@ -79,7 +89,7 @@ func (s *Store) lockIsStale(path string) bool {
 	}
 	// Unattributable holder (other host, unparseable or torn lock
 	// body): fall back to age.
-	return time.Since(fi.ModTime()) > s.opts.LockStale
+	return time.Since(fi.ModTime()) > lockStale
 }
 
 type pidLiveness int

@@ -45,7 +45,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"halfprice/internal/chaos"
 	"halfprice/internal/uarch"
@@ -77,15 +76,6 @@ type Options struct {
 	// Logf receives quarantine and degraded-mode warnings (default:
 	// stderr). The store never fails a sweep; it warns and carries on.
 	Logf func(format string, args ...any)
-	// LockStale is the age past which a foreign advisory lock is broken
-	// even when its holder cannot be proven dead — the backstop for
-	// unparseable locks and holders on other hosts (default 10m).
-	// Same-host locks whose holder process has exited are broken
-	// immediately, regardless of age.
-	LockStale time.Duration
-	// LockPoll is the wait between checks while another process holds a
-	// key's compute lock (default 50ms).
-	LockPoll time.Duration
 	// FS is the filesystem all store I/O goes through (default: the
 	// real one). The chaos harness injects disk faults here; the store's
 	// degrade-gracefully contract is what turns them into cache misses
@@ -101,12 +91,6 @@ func (o Options) withDefaults() Options {
 		o.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-	}
-	if o.LockStale <= 0 {
-		o.LockStale = 10 * time.Minute
-	}
-	if o.LockPoll <= 0 {
-		o.LockPoll = 50 * time.Millisecond
 	}
 	if o.FS == nil {
 		o.FS = chaos.OS{}

@@ -32,7 +32,6 @@ func open(t *testing.T, dir, fingerprint string) *Store {
 	s, err := Open(dir, Options{
 		Fingerprint: fingerprint,
 		Logf:        t.Logf,
-		LockPoll:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
