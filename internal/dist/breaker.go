@@ -25,18 +25,6 @@ const (
 	brHalfOpen
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case brClosed:
-		return "closed"
-	case brOpen:
-		return "open"
-	case brHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
-
 // breaker is the circuit breaker guarding one worker. All methods take
 // the current time explicitly so the state machine is a pure function
 // of its inputs — tests pass chosen instants, production time.Now.
@@ -145,13 +133,6 @@ func (b *breaker) failure(now time.Time) bool {
 	b.trips++
 	b.until = now.Add(d)
 	return true
-}
-
-// snapshot returns the current state name, for logs and telemetry.
-func (b *breaker) snapshot() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // dispatchable is the side-effect-free read allowDispatch would grant:

@@ -55,8 +55,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !br.allowDispatch(now) {
 		t.Fatal("allowDispatch must commit the half-open transition")
 	}
-	if got := br.snapshot(); got != brHalfOpen {
-		t.Fatalf("state after trial admission = %v, want half-open", got)
+	if br.state != brHalfOpen {
+		t.Fatalf("state after trial admission = %d, want half-open", br.state)
 	}
 
 	// A failed trial re-opens with a doubled cooldown.
@@ -76,8 +76,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !br.success() {
 		t.Fatal("successful trial should close the breaker")
 	}
-	if s := br.snapshot(); s != brClosed {
-		t.Fatalf("state after successful trial = %v, want closed", s)
+	if br.state != brClosed {
+		t.Fatalf("state after successful trial = %d, want closed", br.state)
 	}
 	if br.fails != 0 || br.trips != 0 {
 		t.Fatalf("failure history after close: fails=%d trips=%d, want clean", br.fails, br.trips)
