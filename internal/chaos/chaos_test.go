@@ -134,28 +134,22 @@ func TestTransportFaults(t *testing.T) {
 	})
 	t.Run("partition", func(t *testing.T) {
 		// One plan per place a request can fall relative to the window.
-		for _, tc := range []struct {
-			where       string
-			after, span time.Duration
-			partitioned bool
-		}{
-			{"before", time.Hour, time.Hour, false},
-			{"inside", 0, time.Hour, true},
-			{"after", 0, time.Nanosecond, false},
-		} {
-			in := Plan{Seed: 3, Partitions: []Partition{{Target: host, After: tc.after, For: tc.span}}}.MustCompile()
-			hc := &http.Client{Transport: in.Transport(nil)}
-			resp, err := hc.Get(srv.URL)
+		get := func(after, span time.Duration) error {
+			in := Plan{Seed: 3, Partitions: []Partition{{Target: host, After: after, For: span}}}.MustCompile()
+			resp, err := (&http.Client{Transport: in.Transport(nil)}).Get(srv.URL)
 			if err == nil {
 				resp.Body.Close()
 			}
-			if tc.partitioned {
-				if err == nil || !strings.Contains(err.Error(), "partitioned") {
-					t.Fatalf("request inside the partition window: err = %v", err)
-				}
-			} else if err != nil {
-				t.Fatalf("request %s the partition window failed: %v", tc.where, err)
-			}
+			return err
+		}
+		if err := get(time.Hour, time.Hour); err != nil {
+			t.Fatalf("request before the partition window failed: %v", err)
+		}
+		if err := get(0, time.Hour); err == nil || !strings.Contains(err.Error(), "partitioned") {
+			t.Fatalf("request inside the partition window: err = %v", err)
+		}
+		if err := get(0, time.Nanosecond); err != nil {
+			t.Fatalf("request after the partition window failed: %v", err)
 		}
 	})
 }
