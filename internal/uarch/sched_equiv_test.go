@@ -249,6 +249,14 @@ var equivSchemes = []struct {
 		c.Rename = RenameHalfPorts
 		c.Bypass = BypassHalf
 	}},
+	// Latencies past the scheduler's 64-cycle calendar horizon: a memory
+	// miss (2+8+150) and both dividers wake and complete beyond it, so
+	// entries are filed in the overflow sets and refiled as they near.
+	{"long-latency", func(c *Config) {
+		c.Mem.MemLatency = 150
+		c.IntDivLat = 90
+		c.FpDivLat = 70
+	}},
 }
 
 // TestSchedCoreEquivalence runs all calibrated workloads under both
