@@ -68,16 +68,31 @@ func (s *Simulator) replaySafe(u *uop, c int64) bool {
 	return true
 }
 
-// popLSQ removes the committing load or store u from the LSQ. Memory
-// operations commit in program order, so u is the oldest entry: the
-// head moves past it and no other entry moves.
-func (s *Simulator) popLSQ(u *uop) {
-	if s.lsqLen == 0 || s.lsq[s.lsqHead] != u {
-		mustf(false, "uarch: committing memory operation seq=%d is not the LSQ head", u.seq)
+// pushLSQ enters a dispatching load or store u in the LSQ. u records
+// the store-queue tail, so that a load's ordering check walks only the
+// stores older than it; a store joins the store queue at that tail.
+func (s *Simulator) pushLSQ(u *uop) {
+	s.lsqLen++
+	u.sqTail = s.sqTail
+	if u.isStore() {
+		s.sq[s.sqTail&(len(s.sq)-1)] = u
+		s.sqTail++
 	}
-	s.lsq[s.lsqHead] = nil
-	s.lsqHead = (s.lsqHead + 1) & (len(s.lsq) - 1)
+}
+
+// popLSQ removes the committing load or store u from the LSQ. Memory
+// operations commit in program order, so a store is the oldest in the
+// store queue: the head moves past it and no other entry moves.
+func (s *Simulator) popLSQ(u *uop) {
 	s.lsqLen--
+	if !u.isStore() {
+		return
+	}
+	if s.sqHead == s.sqTail || s.sq[s.sqHead&(len(s.sq)-1)] != u {
+		mustf(false, "uarch: committing store seq=%d is not the store-queue head", u.seq)
+	}
+	s.sq[s.sqHead&(len(s.sq)-1)] = nil
+	s.sqHead++
 }
 
 // recordCommit gathers the per-instruction statistics behind the paper's

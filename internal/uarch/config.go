@@ -279,6 +279,11 @@ func (c Config) mustValidate() {
 	mustf(c.IntALULat > 0 && c.IntMulLat > 0 && c.IntDivLat > 0 &&
 		c.FpALULat > 0 && c.FpMulLat > 0 && c.FpDivLat > 0,
 		"uarch: execution latencies must be positive")
+	// The completion calendar files each issued entry under a cycle later
+	// than its issue; a negative memory latency would complete a load
+	// before it issued.
+	mustf(c.Mem.IL1.Lat >= 0 && c.Mem.DL1.Lat >= 0 && c.Mem.L2.Lat >= 0 && c.Mem.MemLatency >= 0,
+		"uarch: memory latencies must be non-negative")
 	mustf(c.FrontEndStages > 0, "uarch: front end must have stages")
 	mustf(c.ExtraMispredictPenalty >= 0, "uarch: ExtraMispredictPenalty must be non-negative")
 	mustf(c.Wakeup <= WakeupPipelined, "uarch: unknown wakeup scheme %d", c.Wakeup)

@@ -28,6 +28,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MemPorts = 0 },
 		func(c *Config) { c.FrontEndStages = 0 },
 		func(c *Config) { c.OpPredEntries = 3 },
+		func(c *Config) { c.Mem.MemLatency = -1 },
 	}
 	for i, mutate := range bad {
 		func() {

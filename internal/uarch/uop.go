@@ -90,6 +90,9 @@ type uop struct {
 	missed            bool
 	forwarded         bool
 	addrKnownCycle    int64
+	// sqTail is the store-queue tail when this memory operation
+	// dispatched: the stores older than it are [Simulator.sqHead, sqTail).
+	sqTail int
 	// The cache access persists across replays (MSHR semantics): a
 	// squashed load's miss keeps progressing; on re-issue the data
 	// arrives at memDataAt, not after a fresh full-latency access.
@@ -117,6 +120,16 @@ func (u *uop) resultAvail() int64 {
 	default:
 		return notReady
 	}
+}
+
+// completeCycle returns the cycle u finishes executing: its result cycle,
+// or for a load the cycle its data truly arrives. issueOne fixes both,
+// later than the issue cycle.
+func (u *uop) completeCycle() int64 {
+	if u.isLoad() {
+		return u.actualResultCycle
+	}
+	return u.resultCycle
 }
 
 // srcAvail returns the cycle operand i's value is available, with base
