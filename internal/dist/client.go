@@ -433,31 +433,14 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, req experiments.Requ
 // before the coordinator degrades to local execution, each failure
 // re-dispatching to the next dispatchable worker in ring order. Retry n
 // waits in [backoff<<n / 2, backoff<<n), jittered to keep a fleet of
-// retrying requests from thundering in lockstep. maxBackoff caps one
-// delay and doubles as the overflow guard: backoff<<n wraps (even
-// negative) for large n, so the exponent is never applied past the
-// point where the delay already saturates.
+// retrying requests from thundering in lockstep.
 const (
-	attempts   = 3
-	backoff    = 100 * time.Millisecond
-	maxBackoff = 30 * time.Second
+	attempts = 3
+	backoff  = 100 * time.Millisecond
 )
 
-// backoffDelay returns the clamped base delay for retry n:
-// min(backoff<<n, maxBackoff), computed without overflow.
-func backoffDelay(n int) time.Duration {
-	d := backoff
-	for i := 0; i < n; i++ {
-		if d >= maxBackoff {
-			break
-		}
-		d <<= 1
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	return d
-}
+// backoffDelay returns the base delay for retry n.
+func backoffDelay(n int) time.Duration { return backoff << n }
 
 // sleepBackoff waits backoffDelay(n) jittered into [d/2, d):
 // exponential growth spaces retries out, jitter decorrelates a fleet

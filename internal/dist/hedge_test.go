@@ -15,7 +15,7 @@ func TestSleepBackoffCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	t0 := time.Now()
-	err := sleepBackoff(ctx, 20) // a 15-30s delay uncanceled
+	err := sleepBackoff(ctx, 20) // a 14-29 h delay uncanceled
 	if err == nil {
 		t.Fatal("sleepBackoff on a canceled context must return an error")
 	}
